@@ -70,7 +70,8 @@ class RouteStats:
     #: Per-phase wall split: where ``elapsed_s`` actually went.  Measured
     #: at the leaf operations so the four buckets are disjoint; whatever
     #: they do not cover (queue management, ordering, event trace) is the
-    #: remainder against ``elapsed_s``.
+    #: remainder against ``elapsed_s``.  ``phase_claims_s`` is the grid's
+    #: ``commit_path``/``remove_path`` plus best-state copies.
     phase_search_s: float = 0.0
     phase_connectivity_s: float = 0.0
     phase_victims_s: float = 0.0

@@ -50,7 +50,7 @@ from repro.grid.layers import Layer
 from repro.grid.path import GridPath
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.maze.arena import SearchArena
-from repro.maze.astar import find_path
+from repro.maze.astar import SearchResult, find_path
 from repro.maze.kernels import resolve_kernel
 from repro.netlist.net import Pin
 from repro.netlist.problem import RoutingProblem
@@ -81,13 +81,6 @@ class MightyRouter:
         # caller running many related problems (e.g. a width sweep) may
         # pass one arena to amortise across runs.
         self._arena = arena or SearchArena()
-        self._claims: Dict[Node, Set[Connection]] = {}
-        # While a weak-modification transaction is open, every claim
-        # add/remove is recorded here so a rejected attempt undoes claims
-        # in O(touched) instead of copying the whole claims table.
-        self._claims_journal: Optional[List[Tuple[Node, Connection, bool]]] = (
-            None
-        )
         self._net_connections: Dict[int, List[Connection]] = {}
         self._net_rips: Dict[int, int] = {}
         self._budgets: Dict[int, int] = {}
@@ -246,45 +239,15 @@ class MightyRouter:
     def _route_connection(
         self, connection: Connection, queue: Deque[Connection]
     ) -> bool:
-        net_id = connection.net_id
-        source_node = tuple(connection.source_node)
-        target_node = tuple(connection.target_node)
-        tick = time.perf_counter()
-        if self._grid.same_component(net_id, source_node, target_node):
-            self._stats.phase_connectivity_s += time.perf_counter() - tick
-            connection.path = None
-            connection.routed = True
+        terminals = self._terminals(connection)
+        if terminals is None:
             self._stats.hard_routes += 1
             self._record("route", connection.net_name, "already connected")
             return True
-        sources = [
-            tuple(node)
-            for node in self._grid.component_nodes(net_id, source_node)
-        ]
-        targets = [
-            tuple(node)
-            for node in self._grid.component_nodes(net_id, target_node)
-        ]
-        self._stats.phase_connectivity_s += time.perf_counter() - tick
+        sources, targets = terminals
 
         self._last_attempt_exhausted = False
-        self._stats.searches += 1
-        tick = time.perf_counter()
-        hard = find_path(
-            self._grid,
-            net_id,
-            sources,
-            targets,
-            cost=self.config.cost,
-            max_expansions=self.config.max_expansions_per_search,
-            arena=self._arena,
-            kernel=self._kernel,
-        )
-        self._stats.phase_search_s += time.perf_counter() - tick
-        self._stats.expansions += hard.expansions
-        if hard.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
+        hard = self._search(connection.net_id, sources, targets)
         if hard.found:
             self._commit(connection, hard.path)
             self._stats.hard_routes += 1
@@ -298,26 +261,14 @@ class MightyRouter:
             frozen_net: rips * self.config.rip_escalation
             for frozen_net, rips in self._net_rips.items()
         }
-        self._stats.searches += 1
-        tick = time.perf_counter()
-        soft = find_path(
-            self._grid,
-            net_id,
+        soft = self._search(
+            connection.net_id,
             sources,
             targets,
-            cost=self.config.cost,
             allow_conflicts=True,
             frozen_nets=frozenset(self._frozen),
             net_penalties=escalation,
-            max_expansions=self.config.max_expansions_per_search,
-            arena=self._arena,
-            kernel=self._kernel,
         )
-        self._stats.phase_search_s += time.perf_counter() - tick
-        self._stats.expansions += soft.expansions
-        if soft.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
         if not soft.found:
             return False
         victims = self._victims_of(soft.conflict_nodes)
@@ -377,7 +328,6 @@ class MightyRouter:
         saved_state = [(c, c.path, c.routed) for c in watched]
 
         self._grid.begin_txn()
-        self._claims_journal = []
         try:
             for victim in victims:
                 self._rip(victim)
@@ -404,7 +354,6 @@ class MightyRouter:
             raise
         if displaced_ok:
             self._grid.commit_txn()
-            self._claims_journal = None
             self._stats.weak_modifications += 1
             self._record(
                 "weak",
@@ -420,19 +369,8 @@ class MightyRouter:
     def _undo_weak_attempt(
         self, saved_state: List[Tuple[Connection, Optional[GridPath], bool]]
     ) -> None:
-        """Roll back grid, claims and connection flags of a weak attempt."""
+        """Roll back grid and connection flags of a weak attempt."""
         self._grid.rollback_txn()
-        claims_journal = self._claims_journal or []
-        self._claims_journal = None
-        for node, conn, added in reversed(claims_journal):
-            if added:
-                owners = self._claims.get(node)
-                if owners is not None:
-                    owners.discard(conn)
-                    if not owners:
-                        del self._claims[node]
-            else:
-                self._claims.setdefault(node, set()).add(conn)
         for conn, old_path, old_routed in saved_state:
             conn.path = old_path
             conn.routed = old_routed
@@ -479,6 +417,25 @@ class MightyRouter:
 
     def _reroute_hard(self, connection: Connection) -> bool:
         """Plain hard reroute used for displaced victims."""
+        terminals = self._terminals(connection)
+        if terminals is None:
+            return True
+        result = self._search(connection.net_id, *terminals)
+        if not result.found:
+            return False
+        self._commit(connection, result.path)
+        self._record("reroute", connection.net_name, "displaced")
+        return True
+
+    def _terminals(
+        self, connection: Connection
+    ) -> Optional[Tuple[List[Node], List[Node]]]:
+        """Search sources and targets: the components of both endpoints.
+
+        Returns ``None`` when the endpoints are already connected through
+        sibling copper; the connection is then marked routed with no path
+        of its own.
+        """
         net_id = connection.net_id
         source_node = tuple(connection.source_node)
         target_node = tuple(connection.target_node)
@@ -487,16 +444,27 @@ class MightyRouter:
             self._stats.phase_connectivity_s += time.perf_counter() - tick
             connection.path = None
             connection.routed = True
-            return True
+            return None
         sources = [
-            tuple(n)
-            for n in self._grid.component_nodes(net_id, source_node)
+            tuple(node)
+            for node in self._grid.component_nodes(net_id, source_node)
         ]
         targets = [
-            tuple(n)
-            for n in self._grid.component_nodes(net_id, target_node)
+            tuple(node)
+            for node in self._grid.component_nodes(net_id, target_node)
         ]
         self._stats.phase_connectivity_s += time.perf_counter() - tick
+        return sources, targets
+
+    def _search(
+        self,
+        net_id: int,
+        sources: List[Node],
+        targets: List[Node],
+        **conflict_mode,
+    ) -> SearchResult:
+        """One timed, counted maze search (``conflict_mode``: soft-search
+        keywords of :func:`~repro.maze.astar.find_path`)."""
         self._stats.searches += 1
         tick = time.perf_counter()
         result = find_path(
@@ -508,17 +476,14 @@ class MightyRouter:
             max_expansions=self.config.max_expansions_per_search,
             arena=self._arena,
             kernel=self._kernel,
+            **conflict_mode,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += result.expansions
         if result.exhausted:
             self._stats.exhausted_searches += 1
             self._last_attempt_exhausted = True
-        if not result.found:
-            return False
-        self._commit(connection, result.path)
-        self._record("reroute", connection.net_name, "displaced")
-        return True
+        return result
 
     # ------------------------------------------------------------------
     # Grid bookkeeping
@@ -526,14 +491,6 @@ class MightyRouter:
     def _commit(self, connection: Connection, path: GridPath) -> None:
         tick = time.perf_counter()
         self._grid.commit_path(connection.net_id, path)
-        journal = self._claims_journal
-        for node in path:
-            key = tuple(node)
-            owners = self._claims.setdefault(key, set())
-            if connection not in owners:
-                owners.add(connection)
-                if journal is not None:
-                    journal.append((key, connection, True))
         connection.path = path
         connection.routed = True
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -542,16 +499,6 @@ class MightyRouter:
         tick = time.perf_counter()
         if connection.path is not None:
             self._grid.remove_path(connection.net_id, connection.path)
-            journal = self._claims_journal
-            for node in connection.path:
-                key = tuple(node)
-                owners = self._claims.get(key)
-                if owners is not None and connection in owners:
-                    owners.discard(connection)
-                    if journal is not None:
-                        journal.append((key, connection, False))
-                    if not owners:
-                        del self._claims[key]
         connection.path = None
         connection.routed = False
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -590,25 +537,39 @@ class MightyRouter:
     def _victims_of(
         self, conflict_nodes: Sequence[Node]
     ) -> Optional[List[Connection]]:
-        """Connections that own the conflict nodes (None when unrippable)."""
+        """Connections whose paths cross the conflict nodes.
+
+        The grid is the one owner of copper: each conflict node's owning
+        net narrows the candidates to that net's connections, and path
+        membership picks the victims among them.  Returns ``None`` when
+        some conflict node lies on no connection's path — foreign copper
+        with no registered connection, which pins cannot be (the search
+        excludes them) but a corrupted cell is — and the plan is refused.
+        """
         tick = time.perf_counter()
-        victims: Set[Connection] = set()
+        by_net: Dict[int, Set[Node]] = {}
         for node in conflict_nodes:
-            owners = self._claims.get(tuple(node))
-            if not owners:
-                # Foreign copper with no registered connection (should not
-                # happen; pins are excluded by the search).  Refuse the plan.
-                self._stats.phase_victims_s += time.perf_counter() - tick
-                return None
-            victims.update(owners)
-        # ``victims`` is a set of identity-hashed connections, so iteration
-        # order varies with memory addresses; ``seq`` makes the sort total
-        # and the routing trajectory reproducible run-to-run.
-        ordered = sorted(
-            victims, key=lambda c: (c.net_name, c.estimated_length, c.seq)
-        )
+            by_net.setdefault(self._grid.owner(node), set()).add(tuple(node))
+        victims: Optional[List[Connection]] = []
+        for net_id, nodes in by_net.items():
+            covered: Set[Node] = set()
+            for conn in self._net_connections.get(net_id, ()):
+                if conn.path is not None:
+                    hit = nodes.intersection(conn.path)
+                    if hit:
+                        victims.append(conn)
+                        covered |= hit
+            if covered != nodes:
+                victims = None
+                break
+        if victims is not None:
+            # ``seq`` makes the sort total, so the routing trajectory
+            # never depends on table iteration order.
+            victims.sort(
+                key=lambda c: (c.net_name, c.estimated_length, c.seq)
+            )
         self._stats.phase_victims_s += time.perf_counter() - tick
-        return ordered
+        return victims
 
     def _commit_pre_routed(
         self, pre_routed: Dict[str, List[GridPath]]
@@ -639,9 +600,9 @@ class MightyRouter:
     def _note_best_state(self, connections: List[Connection]) -> None:
         """Record that a new completion record was reached — lazily.
 
-        Copying the grid and claims table on every record made the
-        snapshot path O(connections²) on a cleanly-progressing run.  The
-        copy is deferred: the routed count can only *decrease* through a
+        Copying the grid and the connection states on every record made
+        the snapshot path O(connections²) on a cleanly-progressing run.
+        The copy is deferred: the routed count can only *decrease* through a
         strong modification (weak attempts are all-or-nothing and roll
         back; searches never mutate), so ``_do_strong`` materialises the
         pending copy just before its first rip.  A run that never strong-
@@ -663,7 +624,6 @@ class MightyRouter:
         tick = time.perf_counter()
         self._best_snapshot = (
             self._grid.clone(),
-            {node: set(owners) for node, owners in self._claims.items()},
             [(c, c.path, c.routed) for c in self._all_connections],
         )
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -675,9 +635,8 @@ class MightyRouter:
         routed = sum(1 for c in connections if c.routed)
         if routed >= self._best_routed:
             return
-        grid, claims, states = self._best_snapshot
+        grid, states = self._best_snapshot
         self._grid.restore(grid)
-        self._claims = claims
         for connection, path, was_routed in states:
             connection.path = path
             connection.routed = was_routed

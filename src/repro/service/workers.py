@@ -38,7 +38,8 @@ from repro.errors import EngineError, ReproError
 #: Problems kept warm per worker (rebuilt RoutingProblem objects).
 WARM_PROBLEMS_PER_WORKER = 32
 
-#: How often a blocked round trip re-checks that its worker is alive.
+#: How often a blocked round trip re-checks that its worker is alive,
+#: and an idle worker that its daemon is.
 LIVENESS_POLL_S = 1.0
 
 #: Environment variable carrying a deterministic worker fault schedule
@@ -166,12 +167,28 @@ def _execute_job(job: Dict, warm: "OrderedDict[str, object]") -> Dict:
 
 
 def _worker_main(shard: int, requests, responses) -> None:
-    """Worker process entry point: drain jobs until the None sentinel."""
+    """Worker process entry point: drain jobs until the None sentinel.
+
+    A worker whose daemon died without sending the sentinel (SIGKILL)
+    is re-parented; it notices within one ``LIVENESS_POLL_S`` and exits
+    instead of waiting on its request queue forever.
+    """
+    # The pid the pool started us from, not a getppid() taken here,
+    # which a daemon killed during our start-up would already have lost.
+    parent = multiprocessing.parent_process().pid
     warm: "OrderedDict[str, object]" = OrderedDict()
     faults = _parse_service_faults(os.environ.get(SERVICE_FAULT_ENV, ""))
     jobs_seen = 0
     while True:
-        job = requests.get()
+        try:
+            job = requests.get(timeout=LIVENESS_POLL_S)
+        except queue_module.Empty:
+            if os.getppid() != parent:
+                # Nobody reads the replies any more; do not let exit
+                # wait on flushing them.
+                responses.cancel_join_thread()
+                break
+            continue
         if job is None:
             break
         jobs_seen += 1

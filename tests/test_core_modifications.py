@@ -1,8 +1,8 @@
 """White-box tests of the weak/strong modification machinery.
 
 These tests construct hand-sized scenarios where the exact mechanism can be
-predicted, and then inspect the router's internal bookkeeping (claims,
-budgets, cascades) directly.
+predicted, and then inspect the router's internal bookkeeping (copper
+ownership, budgets, cascades) directly.
 """
 
 import pytest
@@ -157,20 +157,68 @@ class TestCascade:
             assert connection.target_node in component, connection
 
 
-class TestClaimsLedger:
-    def test_claims_match_grid_after_run(self):
+def assert_one_owner_for_copper(result):
+    """Grid occupancy and connection paths describe the same copper.
+
+    Rip-up victims are derived from this: every non-pin cell a net owns
+    lies on the path of one of that net's connections, and every
+    committed path is owned by its net.
+    """
+    grid = result.grid
+    on_paths = {}
+    for connection in result.connections:
+        if connection.path is None:
+            continue
+        for node in connection.path:
+            assert grid.owner(node) == connection.net_id, (connection, node)
+            on_paths.setdefault(connection.net_id, set()).add(tuple(node))
+    for net_id in grid.net_ids():
+        for node in grid.net_nodes(net_id):
+            if grid.pin_owner(node) == net_id:
+                continue
+            assert tuple(node) in on_paths.get(net_id, ()), (net_id, node)
+
+
+class TestCopperOwnership:
+    def test_grid_copper_matches_connection_paths(self):
         from repro.netlist.generators import random_switchbox
 
         spec = random_switchbox(12, 9, 10, seed=4, fill=0.7)
-        router = MightyRouter(spec.to_problem())
+        assert_one_owner_for_copper(route_problem(spec.to_problem()))
+
+    def test_holds_across_weak_rollbacks_and_best_state_restore(self):
+        from repro.netlist.generators import random_switchbox
+
+        spec = random_switchbox(6, 5, 5, seed=10, fill=0.8)
+        result = route_problem(spec.to_problem())
+        assert result.stats.weak_rejections > 0
+        assert any(event.kind == "restore" for event in result.events)
+        assert_one_owner_for_copper(result)
+
+    def test_victims_of_derives_owners_from_the_grid(self):
+        from repro.geometry import Rect
+        from repro.netlist.problem import Obstacle
+
+        problem = RoutingProblem(
+            9,
+            7,
+            nets=wall_and_cross().nets,
+            obstacles=[Obstacle(Rect(0, 0, 1, 1))],
+        )
+        router = MightyRouter(problem)
         result = router.route()
-        # every claimed node is owned by the claiming connection's net
-        for node, owners in router._claims.items():
-            for connection in owners:
-                assert result.grid.owner(node) == connection.net_id
-        # every routed path is fully claimed
-        for connection in result.connections:
-            if connection.path is None:
-                continue
-            for node in connection.path:
-                assert connection in router._claims[tuple(node)]
+        connection = next(c for c in result.connections if c.path)
+        node = tuple(connection.path[len(connection.path) // 2])
+        assert router._victims_of([node]) == [connection]
+        # an obstacle or a free cell is copper of no connection: the
+        # plan is refused, never answered with an empty victim list
+        assert result.grid.is_obstacle((0, 0, 0))
+        assert router._victims_of([(0, 0, 0)]) is None
+        free = next(
+            (x, y, 1)
+            for x in range(9)
+            for y in range(7)
+            if result.grid.is_free((x, y, 1))
+        )
+        assert router._victims_of([free]) is None
+        assert router._victims_of([node, free]) is None

@@ -588,3 +588,64 @@ class TestCrashRestartSoak:
             if server.poll() is None:
                 server.kill()
                 server.wait(10)
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_proc_stat(entry) or ("", 0))[1] == pid
+    ]
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestOrphanedWorkers:
+    def test_sigkilled_daemon_leaves_no_worker_behind(self):
+        from repro.service.workers import LIVENESS_POLL_S
+
+        socket_path = os.path.join(
+            tempfile.mkdtemp(prefix="repro-orphan-"), "d.sock"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--socket", socket_path, "--workers", "2"],
+            env=env, stderr=subprocess.DEVNULL,
+        )
+        try:
+            probe = ServiceClient(socket_path, timeout_s=2.0)
+            for _ in range(400):
+                try:
+                    probe.health()
+                    break
+                except ServiceUnavailable:
+                    time.sleep(0.05)
+            workers = _children(server.pid)
+            assert len(workers) >= 2, workers
+        finally:
+            server.kill()  # SIGKILL: the workers never get their sentinel
+            server.wait(10)
+        give_up = time.monotonic() + 5 * LIVENESS_POLL_S
+        while any(map(_running, workers)) and time.monotonic() < give_up:
+            time.sleep(0.1)
+        leaked = [pid for pid in workers if _running(pid)]
+        for pid in leaked:  # leave the machine clean even on failure
+            os.kill(pid, signal.SIGKILL)
+        assert not leaked, f"workers outlived their daemon: {leaked}"
