@@ -170,12 +170,18 @@ def _worker_main(shard: int, requests, responses) -> None:
     """Worker process entry point: drain jobs until the None sentinel.
 
     A worker whose daemon died without sending the sentinel (SIGKILL)
-    is re-parented; it notices within one ``LIVENESS_POLL_S`` and exits
-    instead of waiting on its request queue forever.
+    notices within one ``LIVENESS_POLL_S`` and exits instead of waiting
+    on its request queue forever.
     """
-    # The pid the pool started us from, not a getppid() taken here,
-    # which a daemon killed during our start-up would already have lost.
-    parent = multiprocessing.parent_process().pid
+    # Two signals, because neither alone is prompt under every start
+    # method.  The parent sentinel pipe reports the daemon's death under
+    # fork, spawn and forkserver alike, but under fork a sibling started
+    # after us inherits the daemon's end of our pipe and holds it open
+    # until that sibling exits.  A parent pid change is immediate under
+    # fork and spawn; under forkserver our parent is the fork server,
+    # which exits with the daemon.
+    parent = multiprocessing.parent_process()
+    parent_pid = os.getppid()
     warm: "OrderedDict[str, object]" = OrderedDict()
     faults = _parse_service_faults(os.environ.get(SERVICE_FAULT_ENV, ""))
     jobs_seen = 0
@@ -183,7 +189,7 @@ def _worker_main(shard: int, requests, responses) -> None:
         try:
             job = requests.get(timeout=LIVENESS_POLL_S)
         except queue_module.Empty:
-            if os.getppid() != parent:
+            if not parent.is_alive() or os.getppid() != parent_pid:
                 # Nobody reads the replies any more; do not let exit
                 # wait on flushing them.
                 responses.cancel_join_thread()

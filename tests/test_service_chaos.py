@@ -7,6 +7,7 @@ an injected fake clock, and the one real-subprocess soak is marked
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -600,12 +601,21 @@ def _proc_stat(pid):
     return fields[0], int(fields[1])
 
 
-def _children(pid):
-    return [
-        int(entry)
+def _descendants(pid):
+    """Every live descendant of ``pid``: the workers under fork and
+    spawn, the fork server and its workers under forkserver."""
+    parents = {
+        int(entry): (_proc_stat(entry) or ("", 0))[1]
         for entry in os.listdir("/proc")
-        if entry.isdigit() and (_proc_stat(entry) or ("", 0))[1] == pid
-    ]
+        if entry.isdigit()
+    }
+    found, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        children = [child for child, ppid in parents.items() if ppid == parent]
+        found += children
+        frontier += children
+    return found
 
 
 def _running(pid):
@@ -637,7 +647,7 @@ class TestOrphanedWorkers:
                     break
                 except ServiceUnavailable:
                     time.sleep(0.05)
-            workers = _children(server.pid)
+            workers = _descendants(server.pid)
             assert len(workers) >= 2, workers
         finally:
             server.kill()  # SIGKILL: the workers never get their sentinel
@@ -649,3 +659,60 @@ class TestOrphanedWorkers:
         for pid in leaked:  # leave the machine clean even on failure
             os.kill(pid, signal.SIGKILL)
         assert not leaked, f"workers outlived their daemon: {leaked}"
+
+
+# Run in a fresh interpreter so the start method can be chosen per test:
+# start a two-worker pool, report its worker pids, idle for more than
+# two liveness polls, then route one job on every shard.
+_IDLE_POOL_SCRIPT = """
+import json, multiprocessing, sys, time
+multiprocessing.set_start_method(sys.argv[1])
+from repro.service.workers import LIVENESS_POLL_S, WorkerPool
+job = json.loads(sys.argv[2])
+pool = WorkerPool(2)
+print(json.dumps([process.pid for process in pool._processes]), flush=True)
+time.sleep(2.5 * LIVENESS_POLL_S)
+print(json.dumps([pool.run(s, dict(job))["ok"] for s in range(2)]), flush=True)
+time.sleep(3600)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize(
+    "start_method", multiprocessing.get_all_start_methods()
+)
+def test_idle_workers_live_with_their_daemon_and_die_without_it(
+    start_method,
+):
+    from repro.service.workers import LIVENESS_POLL_S
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    daemon = subprocess.Popen(
+        [sys.executable, "-c", _IDLE_POOL_SCRIPT, start_method,
+         json.dumps(worker_job(1))],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    watchdog = threading.Timer(60.0, daemon.kill)
+    watchdog.start()
+    workers = []
+    try:
+        workers = json.loads(daemon.stdout.readline() or "[]")
+        assert len(workers) == 2, workers
+        # Idle past two polls, the workers still serve a job each.
+        assert json.loads(daemon.stdout.readline() or "null") == [True, True]
+        assert all(map(_running, workers))
+    finally:
+        watchdog.cancel()
+        daemon.kill()  # SIGKILL: the workers never get their sentinel
+        daemon.wait(10)
+        daemon.stdout.close()
+    give_up = time.monotonic() + 5 * LIVENESS_POLL_S
+    while any(map(_running, workers)) and time.monotonic() < give_up:
+        time.sleep(0.1)
+    leaked = [pid for pid in workers if _running(pid)]
+    for pid in leaked:  # leave the machine clean even on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not leaked, f"workers outlived their daemon: {leaked}"
