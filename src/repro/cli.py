@@ -53,6 +53,7 @@ from repro.analysis.verify import verify_result, verify_routing
 from repro.core.config import MightyConfig
 from repro.engine import EngineConfig, RoutingEngine
 from repro.errors import InputError, ReproError
+from repro.grid.routing_grid import GridError
 from repro.netlist import io as problem_io
 from repro.netlist.problem import ProblemError
 from repro.netlist.generators import (
@@ -269,6 +270,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         json.JSONDecodeError,
         problem_io.FormatError,
         ProblemError,
+        GridError,  # wiring that collides or leaves the grid
         KeyError,
         TypeError,
     ) as exc:

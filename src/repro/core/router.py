@@ -95,6 +95,10 @@ class MightyRouter:
         # it has been taken yet; see ``_note_best_state``.
         self._best_pending = False
         self._all_connections: List[Connection] = []
+        # How many of ``_all_connections`` are routed: kept in step by
+        # ``_set_routed``, the one writer of ``Connection.routed`` here,
+        # so no event or best-state check has to recount.
+        self._routed_count = 0
         # Resolve the search-kernel backend once per router: config wins,
         # then the process default (REPRO_KERNEL / auto).  Stored as a
         # name and passed per search, so a faults-layer monkeypatch of
@@ -146,6 +150,7 @@ class MightyRouter:
             self._net_connections.setdefault(connection.net_id, []).append(
                 connection
             )
+        self._routed_count = sum(1 for c in all_connections if c.routed)
         self._budgets = {
             net_id: self.config.max_rips_per_net * len(conns)
             for net_id, conns in self._net_connections.items()
@@ -206,13 +211,11 @@ class MightyRouter:
                     if self._last_attempt_exhausted
                     else "",
                 )
-            self._note_best_state(all_connections)
+            self._note_best_state()
 
-        self._restore_best_state(all_connections)
+        self._restore_best_state()
         self._stats.connections = len(all_connections)
-        self._stats.routed_connections = sum(
-            1 for c in all_connections if c.routed
-        )
+        self._stats.routed_connections = self._routed_count
         self._stats.failed_connections = (
             self._stats.connections - self._stats.routed_connections
         )
@@ -373,7 +376,7 @@ class MightyRouter:
         self._grid.rollback_txn()
         for conn, old_path, old_routed in saved_state:
             conn.path = old_path
-            conn.routed = old_routed
+            self._set_routed(conn, old_routed)
 
     def _do_strong(
         self,
@@ -443,7 +446,7 @@ class MightyRouter:
         if self._grid.same_component(net_id, source_node, target_node):
             self._stats.phase_connectivity_s += time.perf_counter() - tick
             connection.path = None
-            connection.routed = True
+            self._set_routed(connection, True)
             return None
         sources = [
             tuple(node)
@@ -492,7 +495,7 @@ class MightyRouter:
         tick = time.perf_counter()
         self._grid.commit_path(connection.net_id, path)
         connection.path = path
-        connection.routed = True
+        self._set_routed(connection, True)
         self._stats.phase_claims_s += time.perf_counter() - tick
 
     def _rip(self, connection: Connection) -> None:
@@ -500,8 +503,14 @@ class MightyRouter:
         if connection.path is not None:
             self._grid.remove_path(connection.net_id, connection.path)
         connection.path = None
-        connection.routed = False
+        self._set_routed(connection, False)
         self._stats.phase_claims_s += time.perf_counter() - tick
+
+    def _set_routed(self, connection: Connection, routed: bool) -> None:
+        """Set ``connection.routed``, keeping the routed count in step."""
+        if connection.routed != routed:
+            self._routed_count += 1 if routed else -1
+            connection.routed = routed
 
     def _cascade_rip(self, net_ids: Iterable[int]) -> List[Connection]:
         """Un-route siblings whose endpoints were split by earlier rips.
@@ -597,7 +606,7 @@ class MightyRouter:
     # ------------------------------------------------------------------
     # Best-state bookkeeping
     # ------------------------------------------------------------------
-    def _note_best_state(self, connections: List[Connection]) -> None:
+    def _note_best_state(self) -> None:
         """Record that a new completion record was reached — lazily.
 
         Copying the grid and the connection states on every record made
@@ -611,9 +620,8 @@ class MightyRouter:
         """
         if not self.config.keep_best_state:
             return
-        routed = sum(1 for c in connections if c.routed)
-        if routed > self._best_routed:
-            self._best_routed = routed
+        if self._routed_count > self._best_routed:
+            self._best_routed = self._routed_count
             self._best_pending = True
 
     def _materialize_best_state(self) -> None:
@@ -628,18 +636,17 @@ class MightyRouter:
         )
         self._stats.phase_claims_s += time.perf_counter() - tick
 
-    def _restore_best_state(self, connections: List[Connection]) -> None:
+    def _restore_best_state(self) -> None:
         """Roll back to the best snapshot if the final state is worse."""
         if self._best_snapshot is None:
             return
-        routed = sum(1 for c in connections if c.routed)
-        if routed >= self._best_routed:
+        if self._routed_count >= self._best_routed:
             return
         grid, states = self._best_snapshot
         self._grid.restore(grid)
         for connection, path, was_routed in states:
             connection.path = path
-            connection.routed = was_routed
+            self._set_routed(connection, was_routed)
         self._record(
             "restore",
             "*",
@@ -670,19 +677,15 @@ class MightyRouter:
         ) + 16
 
     def _record(self, kind: str, net: str, detail: str = "") -> None:
-        open_connections = sum(
-            1
-            for conns in self._net_connections.values()
-            for conn in conns
-            if not conn.routed
-        )
         self._events.append(
             RouteEvent(
                 step=self._step,
                 kind=kind,
                 net=net,
                 detail=detail,
-                open_connections=open_connections,
+                open_connections=(
+                    len(self._all_connections) - self._routed_count
+                ),
             )
         )
 

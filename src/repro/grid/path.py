@@ -29,6 +29,13 @@ class PathError(ValueError):
     """Raised for walks that are not legal grid paths."""
 
 
+#: Layer members by value.  Paths are built by the thousand, so each node
+#: looks its layer up here instead of calling the ``Layer`` enum; any
+#: value this table does not hold still goes through ``Layer(value)``,
+#: which accepts or rejects it exactly as before.
+_LAYER_OF = {int(layer): layer for layer in Layer}
+
+
 class GridPath:
     """An immutable legal walk over the routing grid.
 
@@ -40,18 +47,35 @@ class GridPath:
     __slots__ = ("_nodes",)
 
     def __init__(self, nodes: Iterable[Tuple[int, int, int]]) -> None:
-        normalised = [GridNode(x, y, Layer(layer)) for x, y, layer in nodes]
+        layer_of = _LAYER_OF
+        new_node = tuple.__new__
+        normalised: List[GridNode] = []
+        append = normalised.append
+        for x, y, layer in nodes:
+            try:
+                member = layer_of[layer]
+            except (KeyError, TypeError):
+                member = None
+            if member is None:
+                member = Layer(layer)
+            append(new_node(GridNode, (x, y, member)))
         if not normalised:
             raise PathError("a path needs at least one node")
-        for a, b in zip(normalised, normalised[1:]):
-            if a == b:
-                raise PathError(f"repeated node {a!r}")
-            step = abs(a.x - b.x) + abs(a.y - b.y)
-            if a.layer == b.layer:
+        prev = normalised[0]
+        px, py, player = prev
+        for node in normalised[1:]:
+            x, y, layer = node
+            step = abs(px - x) + abs(py - y)
+            if layer is player:
                 if step != 1:
-                    raise PathError(f"non-unit wire step {a!r} -> {b!r}")
+                    if node == prev:
+                        raise PathError(f"repeated node {prev!r}")
+                    raise PathError(
+                        f"non-unit wire step {prev!r} -> {node!r}"
+                    )
             elif step != 0:
-                raise PathError(f"diagonal via {a!r} -> {b!r}")
+                raise PathError(f"diagonal via {prev!r} -> {node!r}")
+            prev, px, py, player = node, x, y, layer
         self._nodes = tuple(normalised)
 
     @property

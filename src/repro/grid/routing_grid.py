@@ -125,6 +125,7 @@ class RoutingGrid:
         self._via_view = self._via.reshape(-1)
         self._occ_flat: List[int] = self._occ_view.tolist()
         self._pin_flat: List[int] = self._pin_view.tolist()
+        self._buffer_addresses: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     # Pickling (process-pool workers ship grids across processes)
@@ -134,7 +135,9 @@ class RoutingGrid:
 
         Naive pickling would serialise ``_occ_view`` as an *independent*
         array, silently breaking the aliasing that keeps the flat mirrors
-        in lock-step with the numpy arrays.
+        in lock-step with the numpy arrays.  The cached buffer addresses
+        go too: in the process that loads the state they would point into
+        another process's memory.
         """
         if self._journal is not None:
             raise GridError("cannot pickle a grid with an open transaction")
@@ -145,6 +148,7 @@ class RoutingGrid:
             "_via_view",
             "_occ_flat",
             "_pin_flat",
+            "_buffer_addresses",
             "_connectivity",
         ):
             state.pop(derived, None)
@@ -171,8 +175,10 @@ class RoutingGrid:
         return self._occ_flat[(layer * self.height + y) * self.width + x]
 
     def via_owner(self, x: int, y: int) -> int:
-        """Net id of the via at ``(x, y)``, or ``FREE``."""
-        return int(self._via[y, x])
+        """Net id of the via at ``(x, y)``, or ``FREE`` (also off-grid)."""
+        if not self.in_bounds(x, y):
+            return FREE
+        return int(self._via_view[y * self.width + x])
 
     def pin_owner(self, node: Tuple[int, int, int]) -> int:
         """Net id whose pin sits at ``node``, or ``FREE``."""
@@ -249,11 +255,21 @@ class RoutingGrid:
         view.flags.writeable = False
         return view
 
-    def pin_array(self) -> np.ndarray:
-        """Read-only flat int32 pin-ownership view, C-order ``(layer, y, x)``."""
-        view = self._pin.reshape(-1)
-        view.flags.writeable = False
-        return view
+    def buffer_addresses(self) -> Tuple[int, int]:
+        """Data addresses of the flat occupancy and pin buffers.
+
+        For the compiled search kernel, which reads both in place.  The
+        pair is looked up once and cached: the buffers are only ever
+        written in place, and a grid that gets new ones (built, cloned,
+        unpickled) starts without a cache.
+        """
+        addresses = self._buffer_addresses
+        if addresses is None:
+            addresses = self._buffer_addresses = (
+                self._occ_view.ctypes.data,
+                self._pin_view.ctypes.data,
+            )
+        return addresses
 
     # ------------------------------------------------------------------
     # Change journal (transactions)
@@ -350,18 +366,28 @@ class RoutingGrid:
         x, y, layer = node
         return (layer * self.height + y) * self.width + x
 
-    def _path_indices(self, path: GridPath) -> List[Tuple[int, GridNode]]:
+    def _path_indices(
+        self, net_id: int, path: GridPath
+    ) -> List[Tuple[int, GridNode]]:
         """``(flat_index, node)`` pairs for every node of ``path``.
 
         Computed once per commit/rip and shared by the occupancy, pin and
         usage updates (and the connectivity hooks) instead of re-deriving
-        the index per table.
+        the index per table.  An off-grid node raises :class:`GridError`
+        here, before any write: its flat index would wrap onto a real
+        cell (or past the end of the plane).
         """
         height, width = self.height, self.width
-        return [
-            ((node.layer * height + node.y) * width + node.x, node)
-            for node in path
-        ]
+        indexed = []
+        for node in path:
+            x, y, layer = node
+            if not (0 <= x < width and 0 <= y < height):
+                raise GridError(
+                    f"net {net_id} path leaves the {width}x{height} grid "
+                    f"at {tuple(node)}"
+                )
+            indexed.append(((layer * height + y) * width + x, node))
+        return indexed
 
     def set_obstacle(
         self, x: int, y: int, layer: Optional[Layer] = None
@@ -421,7 +447,7 @@ class RoutingGrid:
         self._check_net_id(net_id)
         occ_flat = self._occ_flat
         width = self.width
-        indexed = self._path_indices(path)
+        indexed = self._path_indices(net_id, path)
         for index, node in indexed:
             current = occ_flat[index]
             if current != FREE and current != net_id:
@@ -469,8 +495,8 @@ class RoutingGrid:
 
         Pin nodes keep their standing pin reference and therefore survive.
         """
+        indexed = self._path_indices(net_id, path)
         usage = self._usage[net_id]
-        indexed = self._path_indices(path)
         for index, node in indexed:
             if usage[node] <= 0:
                 raise GridError(
@@ -534,6 +560,7 @@ class RoutingGrid:
         copy._via_view = copy._via.reshape(-1)
         copy._occ_flat = list(self._occ_flat)
         copy._pin_flat = list(self._pin_flat)
+        copy._buffer_addresses = None
         copy._usage = _copy_usage(self._usage)
         copy._via_usage = _copy_usage(self._via_usage)
         copy._journal = None

@@ -104,13 +104,14 @@ class _NumpyPlanes:
     mixing backends across searches stays safe: every search gets a fresh
     generation no matter which stamp storage the previous one wrote).
 
-    ``target`` is a zeroed uint8 mask plane; kernels that use it must
-    restore it to all-zero before returning (set/clear the few target
-    indices, not a full memset).  ``path_buf`` is an int32 buffer big
-    enough for any simple path (one entry per node).
+    ``call`` is the compiled backend's call state for these planes: its
+    argument block, with the address of every buffer a search reads
+    cached in it, and the buffers only that backend uses (target mask,
+    path, sources).  It is built on that backend's first search here and
+    stays ``None`` for the others.
     """
 
-    __slots__ = ("best", "parent", "stamp", "target", "path_buf")
+    __slots__ = ("best", "parent", "stamp", "call")
 
     def __init__(self, n_nodes: int) -> None:
         import numpy as np
@@ -118,8 +119,7 @@ class _NumpyPlanes:
         self.best = np.zeros(n_nodes, dtype=np.int64)
         self.parent = np.full(n_nodes, -1, dtype=np.int32)
         self.stamp = np.zeros(n_nodes, dtype=np.int64)
-        self.target = np.zeros(n_nodes, dtype=np.uint8)
-        self.path_buf = np.empty(n_nodes, dtype=np.int32)
+        self.call = None
 
 
 class _Planes:

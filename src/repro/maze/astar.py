@@ -36,13 +36,7 @@ from repro.grid.routing_grid import FREE, OBSTACLE, RoutingGrid
 from repro.maze.arena import SearchArena, default_arena
 from repro.maze.cost import CostModel
 from repro.maze.kernels import resolve_kernel
-from repro.maze.kernels.pure import (
-    FIELD_MASK as _FIELD_MASK,
-    F_SHIFT as _F_SHIFT,
-    G_LIMIT as _G_LIMIT,
-    G_SHIFT as _G_SHIFT,
-    INDEX_MASK as _INDEX_MASK,
-)
+from repro.maze.kernels.pure import INDEX_MASK as _INDEX_MASK
 
 Node = Tuple[int, int, int]  # (x, y, layer)
 
@@ -69,13 +63,34 @@ class SearchResult:
         return self.path is not None
 
 
+#: Cost model of the searches that name none (models are immutable).
+_DEFAULT_COST = CostModel()
+
+#: The flat-index layer term of every value that equals 0 or 1: plain
+#: ints and the ``Layer`` members, which hash and compare as their ints.
+_LAYER_INDEX = {0: 0, 1: 1}
+
+
 def _check_node(node, width: int, height: int, role: str) -> Node:
     """Validated ``(x, y, layer)`` ints, or :class:`ValueError`.
 
     Layer is validated alongside x/y: a layer outside ``{0, 1}`` would
     otherwise silently wrap through Python negative indexing (layer −1)
     or read past the plane (layer ≥ 2) once folded into a flat index.
+    Plain-int nodes (the router's) pass on type and range tests alone;
+    anything else is converted with ``int()`` first.
     """
+    try:
+        x, y, layer = node[0], node[1], _LAYER_INDEX[node[2]]
+        if (
+            x.__class__ is int
+            and y.__class__ is int
+            and 0 <= x < width
+            and 0 <= y < height
+        ):
+            return x, y, layer
+    except (LookupError, TypeError):
+        pass
     x, y, layer = int(node[0]), int(node[1]), int(node[2])
     if not (0 <= x < width and 0 <= y < height and 0 <= layer <= 1):
         raise ValueError(f"{role} {(x, y, layer)} out of bounds")
@@ -142,12 +157,24 @@ def find_path(
         the foreign nodes the chosen walk occupies (the modification
         plan's victims).
     """
-    model = cost or CostModel()
+    model = cost or _DEFAULT_COST
     width, height = grid.width, grid.height
     plane = width * height
 
-    target_list = [_check_node(t, width, height, "target") for t in targets]
-    if not target_list:
+    target_idx = set()
+    tx0, tx1, ty0, ty1 = width, -1, height, -1
+    for node in targets:
+        x, y, layer = _check_node(node, width, height, "target")
+        target_idx.add((layer * height + y) * width + x)
+        if x < tx0:
+            tx0 = x
+        if x > tx1:
+            tx1 = x
+        if y < ty0:
+            ty0 = y
+        if y > ty1:
+            ty1 = y
+    if not target_idx:
         raise ValueError("no targets given")
     if not sources:
         raise ValueError("no sources given")
@@ -160,17 +187,8 @@ def find_path(
         )
     backend = resolve_kernel(kernel)
 
-    target_idx = {
-        (layer * height + y) * width + x for x, y, layer in target_list
-    }
-    tx0 = min(t[0] for t in target_list)
-    tx1 = max(t[0] for t in target_list)
-    ty0 = min(t[1] for t in target_list)
-    ty1 = max(t[1] for t in target_list)
-
     occ = grid.occ_flat()
-    step = model.step_cost
-    source_entries: List[Tuple[int, int]] = []
+    source_idx: List[int] = []
     for node in sources:
         x, y, layer = _check_node(node, width, height, "source")
         index = (layer * height + y) * width + x
@@ -180,16 +198,14 @@ def find_path(
                 f"source {tuple(node)} is not available to net {net_id} "
                 f"(owner {owner})"
             )
-        dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
-        dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
-        source_entries.append((index, (dx + dy) * step))
+        source_idx.append(index)
 
     planes = (arena or default_arena()).planes(width, height)
     gen = planes.next_generation()
     goal_cost, expansions, exhausted, indices = backend.astar_search(
         grid,
         net_id,
-        source_entries,
+        source_idx,
         target_idx,
         (tx0, tx1, ty0, ty1),
         model,
@@ -207,12 +223,14 @@ def find_path(
     nodes: List[Node] = []
     conflicts: List[Node] = []
     for index in indices:
-        layer, rest = divmod(index, plane)
-        y, x = divmod(rest, width)
-        nodes.append((x, y, layer))
+        layer = 1 if index >= plane else 0
+        rest = index - layer * plane
+        y = rest // width
+        node = (rest - y * width, y, layer)
+        nodes.append(node)
         owner = occ[index]
         if owner != FREE and owner != OBSTACLE and owner != net_id:
-            conflicts.append((x, y, layer))
+            conflicts.append(node)
     return SearchResult(
         path=GridPath(nodes),
         cost=goal_cost,

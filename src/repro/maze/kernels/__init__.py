@@ -187,8 +187,13 @@ def active_backend() -> KernelBackend:
 
 def resolve_kernel(name: Optional[str]) -> KernelBackend:
     """Backend for a per-call / per-router override (``None`` → default)."""
+    # Every search resolves its backend: an already-loaded one is a plain
+    # dict read, which needs no lock.
     if name is None:
-        return active_backend()
+        return _active or active_backend()
+    backend = _loaded.get(name)
+    if backend is not None:
+        return backend
     if name == "auto":
         with _lock:
             return _resolve_auto()

@@ -12,6 +12,12 @@
  * uniqueness (a node is pushed only on strict g improvement, and index
  * occupies the low bits) means any correct min-heap pops the identical
  * sequence the python heapq does.
+ *
+ * The two exported entry points take one argument: a block of int64
+ * slots (pointers stored as integers) laid out by the enum below and
+ * mirrored slot for slot in compiled.py.  A plane set's block is built
+ * once with every buffer address in it, so a call writes only the
+ * per-search slots and passes one pointer instead of thirty arguments.
  */
 
 #include <stdint.h>
@@ -32,6 +38,22 @@
 #define ST_EXHAUSTED 2
 #define ST_OVERFLOW 3
 #define ST_NOMEM 4
+
+/* Argument block slots (compiled.py lists the same names in order). */
+enum {
+    /* plane set: written when the block is built (SRC when it grows) */
+    A_WIDTH, A_HEIGHT, A_BEST, A_PARENT, A_STAMP, A_TARGET, A_PATH, A_SRC,
+    A_FROZEN, A_PENALTIES,
+    /* per search, both kernels */
+    A_OCC, A_PIN, A_NET, A_NSRC, A_GEN,
+    /* per search, A* only */
+    A_CONFLICTS, A_FROZEN_LEN, A_PEN_LEN,
+    A_COST_X0, A_COST_Y0, A_COST_V0, A_COST_X1, A_COST_Y1, A_COST_V1,
+    A_STEP, A_PENALTY, A_TX0, A_TX1, A_TY0, A_TY1, A_MAX_EXPANSIONS,
+    /* results */
+    A_OUT_COST, A_OUT_EXPANSIONS, A_OUT_LEN,
+    A_SLOTS
+};
 
 typedef unsigned __int128 hkey_t;
 
@@ -83,7 +105,8 @@ static hkey_t heap_pop(heap_t *h)
     return top;
 }
 
-/* Backtrack goal→source into path_out; caller reverses.  Returns length. */
+/* Backtrack goal→source, then reverse: path_out holds the source→goal
+ * chain.  Returns its length. */
 static int64_t backtrack(const int32_t *parent, int64_t goal,
                          int32_t *path_out)
 {
@@ -96,14 +119,19 @@ static int64_t backtrack(const int32_t *parent, int64_t goal,
             break;
         idx = p;
     }
+    for (int64_t i = 0, j = len - 1; i < j; i++, j--) {
+        int32_t t = path_out[i];
+        path_out[i] = path_out[j];
+        path_out[j] = t;
+    }
     return len;
 }
 
 /* out[0] = goal cost (or overflowing g on ST_OVERFLOW)
  * out[1] = expansions
- * out[2] = path length (goal-first; caller reverses)
+ * out[2] = path length (source-first)
  */
-int64_t repro_astar(
+static int64_t astar(
     const int32_t *occ, const int32_t *pin,
     int64_t width, int64_t height,
     int64_t net_id, int64_t allow_conflicts,
@@ -113,7 +141,7 @@ int64_t repro_astar(
     int64_t step, int64_t base_penalty,
     const uint8_t *target,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
-    const int64_t *src_idx, const int64_t *src_h, int64_t n_src,
+    const int64_t *src_idx, int64_t n_src,
     int64_t max_expansions,
     int64_t *best, int32_t *parent, int64_t *stamp, int64_t gen,
     int32_t *path_out, int64_t *out)
@@ -131,7 +159,12 @@ int64_t repro_astar(
             stamp[idx] = gen;
             best[idx] = 0;
             parent[idx] = -1;
-            if (!heap_push(&heap, ((hkey_t)src_h[i] << F_SHIFT)
+            int64_t rest = idx % plane;
+            int64_t sy = rest / width;
+            int64_t sx = rest - sy * width;
+            int64_t dx = sx < tx0 ? tx0 - sx : (sx > tx1 ? sx - tx1 : 0);
+            int64_t dy = sy < ty0 ? ty0 - sy : (sy > ty1 ? sy - ty1 : 0);
+            if (!heap_push(&heap, ((hkey_t)((dx + dy) * step) << F_SHIFT)
                                       | (hkey_t)idx)) {
                 status = ST_NOMEM;
                 goto done;
@@ -236,8 +269,8 @@ done:
     return status;
 }
 
-/* out[0] = path length (goal-first; caller reverses) */
-int64_t repro_lee(
+/* out[0] = path length (source-first) */
+static int64_t lee(
     const int32_t *occ,
     int64_t width, int64_t height,
     int64_t net_id,
@@ -308,4 +341,45 @@ int64_t repro_lee(
     }
     out[0] = backtrack(parent, goal, path_out);
     return ST_FOUND;
+}
+
+#define PTR(type, slot) ((type *)(intptr_t)a[slot])
+
+int64_t repro_astar(int64_t *a)
+{
+    const int64_t row0[3] = {a[A_COST_X0], a[A_COST_Y0], a[A_COST_V0]};
+    const int64_t row1[3] = {a[A_COST_X1], a[A_COST_Y1], a[A_COST_V1]};
+    return astar(
+        PTR(const int32_t, A_OCC), PTR(const int32_t, A_PIN),
+        a[A_WIDTH], a[A_HEIGHT],
+        a[A_NET], a[A_CONFLICTS],
+        PTR(const uint8_t, A_FROZEN), a[A_FROZEN_LEN],
+        PTR(const int64_t, A_PENALTIES), a[A_PEN_LEN],
+        row0, row1,
+        a[A_STEP], a[A_PENALTY],
+        PTR(const uint8_t, A_TARGET),
+        a[A_TX0], a[A_TX1], a[A_TY0], a[A_TY1],
+        PTR(const int64_t, A_SRC), a[A_NSRC],
+        a[A_MAX_EXPANSIONS],
+        PTR(int64_t, A_BEST), PTR(int32_t, A_PARENT),
+        PTR(int64_t, A_STAMP), a[A_GEN],
+        PTR(int32_t, A_PATH), a + A_OUT_COST);
+}
+
+int64_t repro_lee(int64_t *a)
+{
+    return lee(
+        PTR(const int32_t, A_OCC),
+        a[A_WIDTH], a[A_HEIGHT],
+        a[A_NET],
+        PTR(const uint8_t, A_TARGET),
+        PTR(const int64_t, A_SRC), a[A_NSRC],
+        PTR(int32_t, A_PARENT), PTR(int64_t, A_STAMP), a[A_GEN],
+        PTR(int32_t, A_PATH), a + A_OUT_LEN);
+}
+
+/* Slot count, so compiled.py can refuse a block layout it does not match. */
+int64_t repro_slots(void)
+{
+    return A_SLOTS;
 }

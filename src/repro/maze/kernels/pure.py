@@ -10,10 +10,11 @@ Kernel contract (shared by every backend module):
 
 ``astar_search(grid, net_id, sources, target_idx, bbox, model,
 allow_conflicts, frozen_nets, net_penalties, max_expansions, planes, gen)``
-    ``sources`` is an ordered list of ``(index, h)`` pairs — flat node id
-    plus its precomputed heuristic — already validated and cost-0.
-    ``target_idx`` is the set of goal indices, ``bbox`` the inclusive
-    target bounding box ``(tx0, tx1, ty0, ty1)``.  ``planes`` are the
+    ``sources`` is an ordered list of flat node ids, already validated
+    and cost-0; each kernel derives a source's heuristic from ``bbox``
+    exactly as it does a successor's.  ``target_idx`` is the set of goal
+    indices, ``bbox`` the inclusive target bounding box
+    ``(tx0, tx1, ty0, ty1)``.  ``planes`` are the
     arena scratch planes for this grid shape with ``gen`` the fresh
     generation stamp.  Returns ``(goal_cost, expansions, exhausted,
     indices)`` where ``indices`` is the source→goal flat-index path or
@@ -65,7 +66,7 @@ def backtrack(parent, goal: int) -> List[int]:
 def astar_search(
     grid,
     net_id: int,
-    sources,  # ordered [(index, h)] — validated, deduplication is ours
+    sources,  # ordered flat node ids — validated, deduplication is ours
     target_idx,  # set of goal indices
     bbox: Tuple[int, int, int, int],
     model,
@@ -97,12 +98,15 @@ def astar_search(
     push, pop = heappush, heappop
     frontier: List[int] = []
 
-    for index, h in sources:
+    for index in sources:
         if stamp[index] != gen or best[index] > 0:
             stamp[index] = gen
             best[index] = 0
             parent[index] = -1
-            push(frontier, (h << F_SHIFT) | index)
+            sy, sx = divmod(index % plane, width)
+            dx = (tx0 - sx) if sx < tx0 else (sx - tx1) if sx > tx1 else 0
+            dy = (ty0 - sy) if sy < ty0 else (sy - ty1) if sy > ty1 else 0
+            push(frontier, (((dx + dy) * step) << F_SHIFT) | index)
 
     expansions = 0
     goal = -1

@@ -52,12 +52,12 @@ def lee_route(
     width, height = grid.width, grid.height
     plane = width * height
 
-    target_list = [_check_node(t, width, height, "target") for t in targets]
-    if not target_list or not sources:
+    target_idx = set()
+    for node in targets:
+        x, y, layer = _check_node(node, width, height, "target")
+        target_idx.add((layer * height + y) * width + x)
+    if not target_idx or not sources:
         raise ValueError("need at least one source and one target")
-    target_idx = {
-        (layer * height + y) * width + x for x, y, layer in target_list
-    }
 
     occ = grid.occ_flat()
     source_indices = []
@@ -82,7 +82,8 @@ def lee_route(
         return None
     nodes = []
     for index in indices:
-        layer, rest = divmod(index, plane)
-        y, x = divmod(rest, width)
-        nodes.append((x, y, layer))
+        layer = 1 if index >= plane else 0
+        rest = index - layer * plane
+        y = rest // width
+        nodes.append((rest - y * width, y, layer))
     return GridPath(nodes)

@@ -222,3 +222,71 @@ class TestCopperOwnership:
         )
         assert router._victims_of([free]) is None
         assert router._victims_of([node, free]) is None
+
+
+class RecountingRouter(MightyRouter):
+    """The router with every routed count taken by a full recount, as
+    events and best-state checks were once computed; it also checks the
+    running count against the recount at each of those points."""
+
+    def _recount(self):
+        routed = sum(1 for c in self._all_connections if c.routed)
+        assert routed == self._routed_count
+        return routed
+
+    def _record(self, kind, net, detail=""):
+        open_connections = sum(
+            1
+            for conns in self._net_connections.values()
+            for conn in conns
+            if not conn.routed
+        )
+        assert open_connections == (
+            len(self._all_connections) - self._recount()
+        )
+        super()._record(kind, net, detail)
+        assert self._events[-1].open_connections == open_connections
+
+    def _note_best_state(self):
+        if self.config.keep_best_state:
+            self.decisions.append(("note", self._recount(), self._best_routed))
+        super()._note_best_state()
+
+    def _restore_best_state(self):
+        if self._best_snapshot is not None:
+            self.decisions.append(("restore", self._recount(),
+                                   self._best_routed))
+        super()._restore_best_state()
+        self._recount()
+
+
+class TestRunningRoutedCount:
+    """The router's running routed count agrees with a recount at every
+    event and every best-state decision, on an instance that rejects
+    weak modifications and restores its best state."""
+
+    def _routes(self):
+        from repro.netlist.generators import random_switchbox
+
+        problem = random_switchbox(6, 5, 5, seed=10, fill=0.8).to_problem()
+        plain = MightyRouter(problem).route()
+        checked = RecountingRouter(problem)
+        checked.decisions = []
+        return plain, checked.route(), checked.decisions
+
+    def test_instance_exercises_rejections_and_restore(self):
+        plain, _, decisions = self._routes()
+        assert plain.stats.weak_rejections > 0
+        assert any(event.kind == "restore" for event in plain.events)
+        assert any(kind == "restore" for kind, _, _ in decisions)
+
+    def test_events_and_outcome_match_the_recount(self):
+        plain, checked, decisions = self._routes()
+        assert plain.events == checked.events
+        assert [
+            (c.routed, c.path) for c in plain.connections
+        ] == [(c.routed, c.path) for c in checked.connections]
+        assert plain.stats.routed_connections == sum(
+            1 for c in plain.connections if c.routed
+        )
+        assert decisions  # the recount ran at every best-state point

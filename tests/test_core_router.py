@@ -188,6 +188,18 @@ class TestPreRouted:
         with pytest.raises(KeyError):
             route_problem(problem, pre_routed={"nope": [path]})
 
+    @pytest.mark.parametrize("x0", [-1, "east"])
+    def test_off_grid_pre_route_rejected(self, x0):
+        """An off-grid node would wrap onto a real cell; the pre-route is
+        refused with the same error as a colliding one."""
+        problem = partially_routed_problem()
+        x0 = problem.width if x0 == "east" else x0
+        step = -1 if x0 > 0 else 1
+        path = GridPath([(x0, 2, 0), (x0 + step, 2, 0)])
+        with pytest.raises(ValueError, match="pre-routed path for 'fixed' "
+                                             "is illegal: .*leaves the"):
+            route_problem(problem, pre_routed={"fixed": [path]})
+
 
 class TestBestState:
     def test_result_not_worse_than_naive(self):

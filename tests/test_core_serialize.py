@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis import layout_metrics, verify_result, verify_routing
 from repro.core import route_problem
 from repro.core.serialize import (
@@ -170,3 +172,33 @@ class TestCheckpointResume:
              "path": [[0, 0, 0], [1, 0, 0]]}
         )
         assert "ghost" not in routed_paths(payload)
+
+
+class TestOffGridDumps:
+    """A dump whose wiring leaves the grid is refused, not wrapped onto
+    real cells."""
+
+    def _off_grid_payload(self):
+        result = route_problem(small_switchbox().to_problem())
+        payload = result_to_dict(result)
+        entry = next(e for e in payload["connections"] if e["path"])
+        x, y, layer = entry["path"][0]
+        entry["path"] = [[-1, y, layer], [0, y, layer]]
+        return payload
+
+    def test_rebuild_grid_raises_grid_error(self):
+        from repro.grid import GridError
+
+        with pytest.raises(GridError, match="leaves the"):
+            rebuild_grid(self._off_grid_payload())
+
+    def test_verify_cli_reports_a_malformed_dump(self, tmp_path, capsys):
+        from repro.cli import main
+
+        dump = tmp_path / "off-grid.json"
+        dump.write_text(json.dumps(self._off_grid_payload()))
+        assert load_result(dump)["connections"]  # the file itself reads
+        assert main(["verify", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed result dump")
+        assert "Traceback" not in err

@@ -195,3 +195,80 @@ class TestSnapshots:
         clone = grid.clone()
         clone.remove_path(1, b)
         assert clone.owner((3, 1, 0)) == 1  # still referenced by `a`
+
+
+class TestOffGridNodes:
+    """Off-grid nodes are refused before any write.
+
+    Their flat indices used to wrap onto real cells: ``(-1, 0, 0)`` is
+    the last node of the occupancy plane, ``(5, 1, 0)`` on a 5-wide grid
+    is ``(0, 2, 0)``.
+    """
+
+    def _snapshot(self, grid):
+        return (grid.occupancy().copy(), grid.via_map().copy(),
+                grid.net_ids())
+
+    def _assert_untouched(self, grid, before):
+        occ, via, nets = before
+        assert (grid.occupancy() == occ).all()
+        assert (grid.via_map() == via).all()
+        assert grid.net_ids() == nets
+
+    def test_commit_left_of_the_grid(self):
+        grid = RoutingGrid(5, 4)
+        before = self._snapshot(grid)
+        with pytest.raises(GridError, match="leaves the 5x4 grid"):
+            grid.commit_path(3, GridPath([(-1, 0, 0), (0, 0, 0)]))
+        self._assert_untouched(grid, before)
+        assert grid.owner((4, 3, 1)) == FREE
+
+    def test_commit_right_of_the_grid(self):
+        grid = RoutingGrid(5, 4)
+        before = self._snapshot(grid)
+        with pytest.raises(GridError):
+            grid.commit_path(2, GridPath([(4, 1, 0), (5, 1, 0)]))
+        self._assert_untouched(grid, before)
+        assert grid.owner((0, 2, 0)) == FREE
+
+    def test_commit_past_the_last_row_with_a_via(self):
+        grid = RoutingGrid(5, 4)
+        before = self._snapshot(grid)
+        with pytest.raises(GridError):
+            grid.commit_path(2, GridPath([(1, 3, 1), (1, 4, 1), (1, 4, 0)]))
+        self._assert_untouched(grid, before)
+
+    def test_refused_commit_journals_nothing(self):
+        grid = RoutingGrid(5, 4)
+        grid.begin_txn()
+        with pytest.raises(GridError):
+            grid.commit_path(3, GridPath([(-1, 0, 0), (0, 0, 0)]))
+        assert grid.journal_depth == 0
+        grid.rollback_txn()
+
+    def test_remove_refuses_off_grid_nodes(self):
+        grid = RoutingGrid(5, 4)
+        grid.commit_path(3, GridPath([(4, 3, 1)]))
+        before = self._snapshot(grid)
+        with pytest.raises(GridError):
+            grid.remove_path(3, GridPath([(-1, 0, 0), (0, 0, 0)]))
+        self._assert_untouched(grid, before)
+        assert grid.owner((4, 3, 1)) == 3
+
+    def test_via_owner_bounds_match_pin_owner(self):
+        grid = RoutingGrid(5, 4)
+        grid.commit_path(1, GridPath([(4, 0, 0), (4, 0, 1)]))
+        assert grid.via_owner(4, 0) == 1
+        for x, y in ((-1, 0), (5, 0), (0, -1), (0, 4)):
+            assert grid.via_owner(x, y) == FREE
+            assert grid.pin_owner((x, y, 0)) == FREE
+
+
+class TestBufferAddresses:
+    def test_cached_until_the_buffers_change(self, grid):
+        first = grid.buffer_addresses()
+        grid.commit_path(1, GridPath([(0, 0, 0), (1, 0, 0)]))
+        assert grid.buffer_addresses() is first
+        grid.restore(grid.clone())
+        assert grid.buffer_addresses() == first
+        assert grid.clone().buffer_addresses() != first
