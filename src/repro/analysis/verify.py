@@ -9,14 +9,20 @@ grid — it trusts none of the router's bookkeeping.  Checks:
   own both layers (a via bridging two different nets is structurally
   impossible in :class:`~repro.grid.RoutingGrid`, but the verifier checks
   anyway so a future grid bug cannot hide);
-* **obstacles / region** — blocked cells of a freshly-built reference grid
-  are still blocked (nothing routed over an obstacle or off the region).
+* **obstacles / region** — cells the problem blocks (outside its region,
+  under an obstacle) are still blocked (nothing routed over an obstacle or
+  off the region).
+
+The obstacle and pin planes of the unrouted fabric are read straight off
+the problem — region mask, obstacle rectangles, pins — rather than from a
+whole reference :class:`~repro.grid.RoutingGrid`, whose pin reservations
+would also build a connectivity index the checks never read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Dict, List
+from typing import TYPE_CHECKING, Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -70,6 +76,36 @@ class VerificationReport:
         )
 
 
+def _fresh_planes(problem: RoutingProblem) -> Tuple[np.ndarray, np.ndarray]:
+    """Blocked-cell mask and pin plane of ``problem``'s unrouted fabric.
+
+    The two planes ``problem.build_grid()`` would start with, shape
+    ``(2, height, width)``: cells outside the region and under obstacles
+    are blocked, and each pin node holds its net id.
+    """
+    shape = (2, problem.height, problem.width)
+    blocked = np.zeros(shape, dtype=bool)
+    region = problem.region
+    if region is not None:
+        bbox = region.bbox
+        inside = np.zeros(shape[1:], dtype=bool)
+        inside[bbox.y0:bbox.y1, bbox.x0:bbox.x1] = region.mask()
+        blocked[:, ~inside] = True
+    for obstacle in problem.obstacles:
+        rect = obstacle.rect
+        rows = slice(max(rect.y0, 0), max(rect.y1, 0))
+        cols = slice(max(rect.x0, 0), max(rect.x1, 0))
+        if obstacle.layer is None:
+            blocked[:, rows, cols] = True
+        else:
+            blocked[int(obstacle.layer), rows, cols] = True
+    pins = np.zeros(shape, dtype=np.int32)
+    for net_id, net in enumerate(problem.nets, 1):
+        for pin in net.pins:
+            pins[int(pin.layer), pin.y, pin.x] = net_id
+    return blocked, pins
+
+
 def verify_routing(
     problem: RoutingProblem,
     grid: RoutingGrid,
@@ -104,9 +140,7 @@ def verify_routing(
             )
 
     # --- obstacles and region ---------------------------------------------
-    reference = problem.build_grid()
-    ref_occ = reference.occupancy()
-    blocked = ref_occ == OBSTACLE
+    blocked, ref_pin = _fresh_planes(problem)
     violated = blocked & (occ != OBSTACLE)
     if violated.any():
         layer, y, x = [int(v[0]) for v in np.nonzero(violated)]
@@ -114,8 +148,7 @@ def verify_routing(
             f"blocked cell overwritten at ({x},{y}) layer {layer} "
             f"(+{int(violated.sum()) - 1} more)"
         )
-    # Pins of the reference grid must be intact in the routed grid.
-    ref_pin = reference.pin_map()
+    # Pins of the unrouted fabric must be intact in the routed grid.
     pin_moved = (ref_pin != 0) & (occ != ref_pin)
     if pin_moved.any():
         layer, y, x = [int(v[0]) for v in np.nonzero(pin_moved)]

@@ -306,7 +306,8 @@ def run_bench(
     times are measured inside each worker and are subject to whatever
     contention the pool creates — on a busy machine prefer ``workers=1``
     for wall-clock comparisons and use the pool where only the counters
-    matter (the CI smoke gate).
+    matter (the CI smoke gate).  A pool worker that dies raises
+    :class:`~repro.errors.EngineError`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -332,24 +333,19 @@ def run_bench(
                 )
             )
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.parallel import ProcessExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_case_by_name,
-                    case.name,
-                    config,
-                    repeat,
-                    profile,
-                    shards,
-                )
-                for case in selected
-            ]
-            for case, future in zip(selected, futures):
-                if progress is not None:
-                    progress(f"bench {case.name} ...")
-                rows.append(future.result())
+        if progress is not None:
+            progress(f"bench {len(selected)} cases on {workers} workers ...")
+        with ProcessExecutor() as pool:
+            rows = pool.map(
+                _run_case_by_name,
+                [
+                    (case.name, config, repeat, profile, shards)
+                    for case in selected
+                ],
+                workers,
+            )
     return {
         "schema": SCHEMA_VERSION,
         "created_unix": round(time.time(), 3),

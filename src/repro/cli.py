@@ -181,14 +181,16 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from None
     if args.shards < 1:
         raise InputError("--shards must be >= 1")
-    engine = RoutingEngine(engine_config, router_config=_make_config(args))
-    result = engine.route(
-        problem,
-        channel_spec=channel_spec if resilient else None,
-        tracks=tracks,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
-    )
+    with RoutingEngine(
+        engine_config, router_config=_make_config(args)
+    ) as engine:
+        result = engine.route(
+            problem,
+            channel_spec=channel_spec if resilient else None,
+            tracks=tracks,
+            shards=args.shards,
+            shard_workers=args.shard_workers,
+        )
     # The fallback cascade may have extended the channel; judge the result
     # against the problem it actually solved.
     problem = result.problem
@@ -441,9 +443,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             kernels.select_backend(args.kernel)
         except (ValueError, RuntimeError) as exc:
             raise InputError(str(exc)) from None
-        # --workers runs cases in subprocesses; they re-resolve the
-        # backend from the environment, so export the choice too.
-        os.environ[kernels.ENV_VAR] = args.kernel
     else:
         _check_kernel_env()
     gates = _parse_gates(args, bench.COMPARE_METRICS)
@@ -982,9 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--kernel",
         choices=("pure", "vector", "compiled", "auto"),
-        help="force the search-kernel backend for every case (also "
-        "exported as REPRO_KERNEL so --workers subprocesses match); "
-        "an unavailable backend is an error, never a silent fallback",
+        help="force the search-kernel backend for every case (--workers "
+        "processes run the same one); an unavailable backend is an "
+        "error, never a silent fallback",
     )
     bench.add_argument(
         "--workers",

@@ -73,10 +73,17 @@ class MightyRouter:
         problem: RoutingProblem,
         config: Optional[MightyConfig] = None,
         arena: Optional[SearchArena] = None,
+        grid: Optional[RoutingGrid] = None,
     ) -> None:
         self.problem = problem
         self.config = config or MightyConfig()
-        self._grid: RoutingGrid = problem.build_grid()
+        # ``grid``, when given, already carries the copper that
+        # :meth:`route` receives as ``pre_routed`` (the shard merge hands
+        # its grid over); those paths are then registered, not committed.
+        self._adopted_grid = grid is not None
+        self._grid: RoutingGrid = grid if grid is not None else (
+            problem.build_grid()
+        )
         # Scratch planes shared by every search this router issues; a
         # caller running many related problems (e.g. a width sweep) may
         # pass one arena to amortise across runs.
@@ -141,7 +148,7 @@ class MightyRouter:
         self._routed = True
         started = time.perf_counter()
 
-        fixed = self._commit_pre_routed(pre_routed or {})
+        fixed = self._pre_routed_connections(pre_routed or {})
         connections = decompose_problem(self.problem)
         all_connections = connections + fixed
         self._all_connections = all_connections
@@ -580,9 +587,15 @@ class MightyRouter:
         self._stats.phase_victims_s += time.perf_counter() - tick
         return victims
 
-    def _commit_pre_routed(
+    def _pre_routed_connections(
         self, pre_routed: Dict[str, List[GridPath]]
     ) -> List[Connection]:
+        """One routed connection per pre-routed path, in sorted net name
+        then path order (``seq`` follows it and orders victims).
+
+        The paths are committed to the grid here, unless the grid was
+        handed over already holding them.
+        """
         fixed: List[Connection] = []
         for net_name in sorted(pre_routed):
             net_id = self.problem.net_id(net_name)
@@ -594,12 +607,17 @@ class MightyRouter:
                     source_pin=Pin(start.x, start.y, Layer(start.layer)),
                     target_pin=Pin(end.x, end.y, Layer(end.layer)),
                 )
-                try:
-                    self._commit(connection, path)
-                except GridError as exc:
-                    raise ValueError(
-                        f"pre-routed path for {net_name!r} is illegal: {exc}"
-                    ) from None
+                if self._adopted_grid:
+                    connection.path = path
+                    self._set_routed(connection, True)
+                else:
+                    try:
+                        self._commit(connection, path)
+                    except GridError as exc:
+                        raise ValueError(
+                            f"pre-routed path for {net_name!r} is illegal: "
+                            f"{exc}"
+                        ) from None
                 fixed.append(connection)
         return fixed
 

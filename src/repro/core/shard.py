@@ -7,22 +7,23 @@ The pipeline has four deterministic stages:
    whose bounding box fits no slab become *cross nets*.
 2. **Shard routing** — every busy shard is routed as a standalone
    sub-problem (same absolute coordinates, foreign pins blocked), either
-   in-process or on a process pool.  Results are consumed in shard-index
-   order regardless of completion order, so ``workers=N`` is bit-identical
-   to ``workers=1`` — the same deterministic-replay discipline as
-   ``minimum_routable_width``.
+   in-process or on a :class:`~repro.parallel.ProcessExecutor` — the
+   engine's warm one when called through it, so a stream of regions starts
+   its workers once.  Results come back in shard-index order, so
+   ``workers=N`` is bit-identical to ``workers=1``.
 3. **Merge** — shard paths are transplanted onto one fresh parent grid,
    one grid-journal transaction per net; a net whose copper conflicts in a
    halo overlap band is dropped whole (never half-committed), keeping the
    union-find connectivity index consistent.
-4. **Stitch** — a single :class:`~repro.core.router.MightyRouter` run over
-   the full fabric with the merged copper as ``pre_routed``.  Connections
-   already satisfied by shard copper short-circuit; cross nets, dropped
-   nets and shard failures are routed by the full three-tier machinery,
-   which may rip shard copper like anything else — weak/strong
-   modification *is* the boundary repairer.  An optional boundary-band
-   improvement pass (:func:`~repro.core.improve.improve_routing` with
-   ``only=``) then removes the detours the cuts forced.
+4. **Stitch** — a single :class:`~repro.core.router.MightyRouter` run on
+   the merged grid, its copper registered (not re-committed) as
+   ``pre_routed``.  Connections already satisfied by shard copper
+   short-circuit; cross nets, dropped nets and shard failures are routed
+   by the full three-tier machinery, which may rip shard copper like
+   anything else — weak/strong modification *is* the boundary repairer.
+   An optional boundary-band improvement pass
+   (:func:`~repro.core.improve.improve_routing` with ``only=``) then
+   removes the detours the cuts forced.
 
 The stitched result is an ordinary :class:`~repro.core.result.RouteResult`
 whose stats carry pipeline totals plus a per-shard ``shard_log``.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MightyConfig
@@ -47,10 +47,10 @@ from repro.core.improve import improve_routing
 from repro.core.result import RouteResult
 from repro.core.router import MightyRouter, route_problem
 from repro.grid.path import GridPath
-from repro.grid.routing_grid import GridError
+from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.maze.arena import SearchArena
-from repro.maze.kernels import resolve_kernel
 from repro.netlist.problem import RoutingProblem
+from repro.parallel import ProcessExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
     from repro.engine.deadline import Deadline
@@ -84,11 +84,9 @@ def _route_shard_worker(
 ) -> Dict:
     """Route one shard in isolation (the process-pool work unit).
 
-    ``config`` arrives with the kernel backend already *resolved* to a
-    concrete name by the parent, so a pool worker uses the same kernel the
-    parent would — regardless of the child environment — and the name it
-    reports in its stats is true provenance.  Returns a picklable dict:
-    committed paths per net plus the scalar stats.
+    Returns a picklable dict: committed paths per net plus the scalar
+    stats, whose ``kernel_backend`` is the backend the shard really ran
+    (the executor ships the parent's to its workers).
     """
     deadline = None
     if budget_s is not None:
@@ -114,7 +112,7 @@ def _route_shard_worker(
 def merge_shard_paths(
     problem: RoutingProblem,
     candidates: Sequence[Tuple[str, List[GridPath]]],
-) -> Tuple[Dict[str, List[GridPath]], List[str]]:
+) -> Tuple[Dict[str, List[GridPath]], List[str], RoutingGrid]:
     """Transplant shard copper onto one fresh parent grid, net by net.
 
     ``candidates`` is an ordered ``(net_name, paths)`` sequence (shard
@@ -123,8 +121,9 @@ def merge_shard_paths(
     halo band both neighbours may route in — rolls the whole net back, so
     the merged grid never holds a fragment of a net and the union-find
     connectivity index stays consistent.  Returns the accepted
-    ``pre_routed`` mapping and the names of dropped nets (re-routed from
-    scratch by the stitch pass).
+    ``pre_routed`` mapping, the names of dropped nets (re-routed from
+    scratch by the stitch pass) and the merged grid, its journal peak
+    reset so the stitch reports only its own transactions.
     """
     grid = problem.build_grid()
     ids = problem.net_ids()
@@ -144,7 +143,8 @@ def merge_shard_paths(
         else:
             grid.commit_txn()
             pre_routed[net_name] = paths
-    return pre_routed, dropped
+    grid.reset_journal_peak()
+    return pre_routed, dropped, grid
 
 
 def _boundary_scope(
@@ -187,6 +187,7 @@ def route_problem_sharded(
     deadline: Optional["Deadline"] = None,
     polish: bool = True,
     arena: Optional[SearchArena] = None,
+    executor: Optional[ProcessExecutor] = None,
 ) -> RouteResult:
     """Route ``problem`` via the shard-and-stitch pipeline.
 
@@ -198,18 +199,13 @@ def route_problem_sharded(
 
     ``workers`` defaults to one pool process per busy shard, capped at the
     CPU count; ``workers=1`` routes shards in-process with no pool at all.
-    With a ``deadline``, every shard receives the budget remaining at
-    fan-out (they run concurrently), and the stitch pass runs under the
-    original deadline object.
+    ``executor`` is a warm pool to use instead of one scoped to this
+    call.  With a ``deadline``, every shard receives the budget remaining
+    at fan-out (they run concurrently), the fan-out waits no longer than
+    that, and the stitch pass runs under the original deadline object.
     """
     pipeline_started = time.perf_counter()
     base = config or MightyConfig()
-    # Resolve the kernel once, in the parent: the name — not "auto" or an
-    # environment lookup — is what ships to shard workers and the stitch
-    # router, so every stage runs the same backend and records it.
-    resolved = base.with_updates(
-        kernel_backend=resolve_kernel(base.kernel_backend).name
-    )
     plan = (
         partition_problem(problem, shards, halo=halo) if shards > 1 else None
     )
@@ -226,20 +222,16 @@ def route_problem_sharded(
     budget_s = deadline.remaining() if deadline is not None else None
     if workers is None:
         workers = min(len(subs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_route_shard_worker, sub_problem, resolved, budget_s)
-                for _, sub_problem in subs
-            ]
-            # Consume in submission (= shard-index) order, whatever the
-            # completion order: the merge below must not depend on timing.
-            outputs = [future.result() for future in futures]
+    tasks = [(sub_problem, base, budget_s) for _, sub_problem in subs]
+    if workers == 1:
+        outputs = [_route_shard_worker(*task) for task in tasks]
+    elif executor is not None:
+        outputs = executor.map(_route_shard_worker, tasks, workers, deadline)
     else:
-        outputs = [
-            _route_shard_worker(sub_problem, resolved, budget_s)
-            for _, sub_problem in subs
-        ]
+        with ProcessExecutor() as scoped:
+            outputs = scoped.map(
+                _route_shard_worker, tasks, workers, deadline
+            )
 
     candidates: List[Tuple[str, List[GridPath]]] = []
     for (shard, _), out in zip(subs, outputs):
@@ -247,10 +239,10 @@ def route_problem_sharded(
             paths = out["paths"].get(net_name)
             if paths:
                 candidates.append((net_name, paths))
-    pre_routed, dropped = merge_shard_paths(problem, candidates)
+    pre_routed, dropped, merged = merge_shard_paths(problem, candidates)
 
     stitch_started = time.perf_counter()
-    router = MightyRouter(problem, resolved, arena=arena)
+    router = MightyRouter(problem, base, arena=arena, grid=merged)
     result = router.route(pre_routed=pre_routed, deadline=deadline)
     stitch_wall = time.perf_counter() - stitch_started
 
@@ -261,7 +253,7 @@ def route_problem_sharded(
             polish_started = time.perf_counter()
             improvement = improve_routing(
                 result,
-                cost=resolved.cost,
+                cost=base.cost,
                 passes=1,
                 arena=arena,
                 only=scope,

@@ -23,11 +23,17 @@ Callers that prefer exceptions opt in with ``on_timeout="raise"`` /
 ``on_infeasible="raise"``, which raise the structured
 :class:`~repro.errors.RouteTimeout` / :class:`~repro.errors.RouteInfeasible`
 carrying the machine-readable outcome.
+
+Sharded calls with ``shard_workers > 1`` run their shards on one warm
+:class:`~repro.parallel.ProcessExecutor` per engine, started at the first
+such call and reused by later ones; :meth:`RoutingEngine.close` (or
+leaving a ``with`` block, or the engine being collected) stops it.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -120,6 +126,40 @@ class RoutingEngine:
         self.config = config or EngineConfig()
         self.router_config = router_config or MightyConfig()
         self._clock = clock
+        # The warm shard pool, created at the first sharded call that
+        # wants processes (never here: an engine that never shards across
+        # processes never starts one).
+        self._shard_executor = None
+        self._reap_executor = None
+
+    def close(self) -> None:
+        """Stop the warm shard workers, if any were started.
+
+        The engine stays usable: a later sharded call starts a new pool.
+        """
+        if self._reap_executor is not None:
+            self._reap_executor()
+        self._shard_executor = self._reap_executor = None
+
+    def __enter__(self) -> "RoutingEngine":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _executor_for(self, workers: Optional[int]):
+        """The engine's warm shard executor (``None`` for in-process)."""
+        if workers == 1:
+            return None
+        if self._shard_executor is None:
+            from repro.parallel import ProcessExecutor
+
+            executor = ProcessExecutor()
+            self._shard_executor = executor
+            # Reaps the workers when the engine is collected or at exit;
+            # holds the executor, never the engine.
+            self._reap_executor = weakref.finalize(self, executor.close)
+        return self._shard_executor
 
     # ------------------------------------------------------------------
     # Public API
@@ -144,10 +184,12 @@ class RoutingEngine:
 
         ``shards > 1`` tries the shard-and-stitch pipeline first (skipped
         when resuming from ``pre_routed`` — the checkpoint already fixes
-        the copper layout).  A shard run that fails, crashes, or does not
-        verify is telemetry, not an outcome: the engine falls through to
-        the whole-region Mighty cascade, so every robustness guarantee of
-        the unsharded engine still holds.
+        the copper layout), on the engine's warm shard workers unless
+        ``shard_workers == 1`` routes the shards in-process.  A shard run
+        that fails, crashes (a dead worker included), outlasts the
+        deadline or does not verify is telemetry, not an outcome: the
+        engine falls through to the whole-region Mighty cascade, so every
+        robustness guarantee of the unsharded engine still holds.
 
         Returns the best :class:`RouteResult` seen: ``status="complete"``
         on success, ``"partial"`` when something routed, ``"failed"`` when
@@ -290,6 +332,7 @@ class RoutingEngine:
                 shards=shards,
                 workers=workers,
                 deadline=deadline,
+                executor=self._executor_for(workers),
             )
         except Exception as exc:  # supervised: a crash is telemetry
             record["error"] = f"{type(exc).__name__}: {exc}"

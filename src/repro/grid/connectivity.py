@@ -19,10 +19,15 @@ inside a transaction appends an undo record to the same journal as the
 occupancy writes, so rolling back a failed weak-modification attempt
 restores the index bit-for-bit along with the copper.
 
-* **Additions are incremental.**  When a cell transitions ``FREE -> net``
-  (``commit_path``/``reserve_pin``) the new node is activated as a
-  singleton and unioned with its already-owned neighbours; a new via
-  unions the two layers of its cell.  O(alpha-ish) per cell.
+* **Additions are incremental, one call per path.**  A committed path is
+  one connected walk, so ``commit_path``/``reserve_pin`` report the whole
+  walk at once (:meth:`ConnectivityIndex.note_path_added`): the net's
+  earlier components the walk reaches — its own already-owned nodes and
+  the owned neighbours of its fresh ones — are linked by rank, and every
+  cell that just went ``FREE -> net`` hangs directly off the resulting
+  root.  One parent write per fresh cell, unions only where the walk
+  meets other copper of its net, and component trees stay shallow.  A
+  new via joins two nodes of the same walk and needs nothing more.
 * **Removals invalidate.**  A union-find cannot split, so freeing any
   node or via of a net marks the net *dirty*; the next query re-floods
   only that net's copper (O(net size), not O(grid)), rebuilding
@@ -123,48 +128,56 @@ class ConnectivityIndex:
     # ------------------------------------------------------------------
     # Mutation hooks (called by RoutingGrid)
     # ------------------------------------------------------------------
-    def note_node_added(
-        self, net_id: int, idx: int, x: int, y: int, layer: int
+    def note_path_added(
+        self, net_id: int, fresh: List[int], touch: List[int]
     ) -> None:
-        """A cell just transitioned ``FREE -> net_id`` at flat id ``idx``."""
-        self._cache.pop(net_id, None)
-        if net_id in self._dirty:
-            return  # the pending re-flood will pick the node up
-        grid = self._grid
-        journal = grid._journal
-        parent, rank = self._parent, self._rank
-        if journal is not None:
-            journal.append((_J_UF, idx, parent[idx], rank[idx]))
-        parent[idx] = idx
-        rank[idx] = 0
-        occ = grid._occ_flat
-        width, height = grid.width, grid.height
-        if x + 1 < width and occ[idx + 1] == net_id:
-            self._union(idx, idx + 1, journal)
-        if x > 0 and occ[idx - 1] == net_id:
-            self._union(idx, idx - 1, journal)
-        if y + 1 < height and occ[idx + width] == net_id:
-            self._union(idx, idx + width, journal)
-        if y > 0 and occ[idx - width] == net_id:
-            self._union(idx, idx - width, journal)
-        if int(grid._via_view[y * width + x]) == net_id:
-            plane = width * height
-            other = idx + plane if idx < plane else idx - plane
-            if occ[other] == net_id:
-                self._union(idx, other, journal)
+        """A committed walk claimed the ``fresh`` flat ids for ``net_id``.
 
-    def note_via_added(self, net_id: int, x: int, y: int) -> None:
-        """A via of ``net_id`` appeared at ``(x, y)``: bridge the layers."""
+        ``touch`` lists the net's earlier copper the walk reaches: its own
+        already-owned nodes (an existing via of the net is crossed only
+        through them) and the owned wire neighbours of its fresh nodes.
+        A committed path
+        is one connected walk, so the touched components are linked and
+        every fresh node hangs directly off the resulting root — one
+        parent write per fresh node, and unions only where the walk meets
+        other copper of its net.  A new via joins two nodes of the walk
+        and needs nothing more.
+        """
         self._cache.pop(net_id, None)
         if net_id in self._dirty:
+            return  # the pending re-flood will pick the walk up
+        journal = self._grid._journal
+        parent, rank = self._parent, self._rank
+        root = -1
+        for idx in touch:
+            while parent[idx] != idx:
+                idx = parent[idx]
+            if root < 0:
+                root = idx
+            elif idx != root:
+                root = self._link(root, idx, journal)
+        if not fresh:
             return
-        grid = self._grid
-        width = grid.width
-        idx0 = y * width + x
-        plane = width * grid.height
-        occ = grid._occ_flat
-        if occ[idx0] == net_id and occ[idx0 + plane] == net_id:
-            self._union(idx0, idx0 + plane, grid._journal)
+        if root < 0:
+            root = fresh[0]
+            fresh = fresh[1:]
+            if journal is not None:
+                journal.append((_J_UF, root, parent[root], rank[root]))
+            parent[root] = root
+            rank[root] = 1 if fresh else 0
+        elif rank[root] == 0:
+            if journal is not None:
+                journal.append((_J_UF, root, root, 0))
+            rank[root] = 1
+        if journal is None:
+            for idx in fresh:
+                parent[idx] = root
+                rank[idx] = 0
+        else:
+            for idx in fresh:
+                journal.append((_J_UF, idx, parent[idx], rank[idx]))
+                parent[idx] = root
+                rank[idx] = 0
 
     def note_removed(self, net_id: int) -> None:
         """A node or via of ``net_id`` was freed: the component may split."""
@@ -213,8 +226,11 @@ class ConnectivityIndex:
     # ------------------------------------------------------------------
     def _union(self, a: int, b: int, journal) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
+        if ra != rb:
+            self._link(ra, rb, journal)
+
+    def _link(self, ra: int, rb: int, journal) -> int:
+        """Union two distinct roots by rank; returns the surviving root."""
         parent, rank = self._parent, self._rank
         if rank[ra] < rank[rb]:
             ra, rb = rb, ra
@@ -225,6 +241,7 @@ class ConnectivityIndex:
             if journal is not None:
                 journal.append((_J_UF, ra, parent[ra], rank[ra]))
             rank[ra] += 1
+        return ra
 
     def _reflood(self, net_id: int) -> None:
         """Rebuild ``net_id``'s structure from the grid's ground truth.

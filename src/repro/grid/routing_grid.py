@@ -19,6 +19,12 @@ Two representations are kept in lock-step:
   whose per-cell reads are several times faster on plain lists than on
   numpy scalars.
 
+Claims are path-granular: :meth:`RoutingGrid.commit_path` (and
+:meth:`~RoutingGrid.remove_path`, :meth:`~RoutingGrid.reserve_pin`) make
+one validation pass over the walk — bounds, collisions, vias, and the
+net's earlier copper it reaches — then one mutation loop, and hand the
+connectivity index the whole walk in one call.
+
 Undo comes in two granularities.  :meth:`clone`/:meth:`restore` snapshot
 the whole grid — O(area), used sparingly for the router's coarse
 best-state bookmark.  :meth:`begin_txn`/:meth:`commit_txn`/
@@ -29,8 +35,17 @@ what keeps the rip-up inner loop cheap.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -38,7 +53,7 @@ from repro.geometry.point import Point
 from repro.geometry.region import RectilinearRegion
 from repro.grid.connectivity import _J_DIRTY, _J_UF, ConnectivityIndex
 from repro.grid.layers import Layer
-from repro.grid.path import GridNode, GridPath
+from repro.grid.path import _LAYER_OF, GridNode, GridPath
 
 FREE = 0
 OBSTACLE = -1
@@ -57,15 +72,14 @@ class GridError(RuntimeError):
     """Raised when a commit/rip request is inconsistent with the grid."""
 
 
-def _copy_usage(table: Dict[int, Counter]) -> Dict[int, Counter]:
-    """Cheap deep copy of a usage table.
+def _copy_usage(table: Dict[int, Dict]) -> Dict[int, Dict]:
+    """Cheap deep copy of a usage table (plain dict copies, C speed).
 
-    ``Counter.copy()`` is a plain dict copy (C speed), unlike
-    ``Counter(c)`` which re-counts every key; empty counters — common
-    after heavy rip-up — are dropped entirely instead of copied.
+    Empty per-net tables — common after heavy rip-up — are dropped
+    entirely instead of copied.
     """
     return defaultdict(
-        Counter, {net: usage.copy() for net, usage in table.items() if usage}
+        dict, {net: usage.copy() for net, usage in table.items() if usage}
     )
 
 
@@ -96,8 +110,12 @@ class RoutingGrid:
         self._occ = np.full((2, height, width), FREE, dtype=np.int32)
         self._via = np.full((height, width), FREE, dtype=np.int32)
         self._pin = np.full((2, height, width), FREE, dtype=np.int32)
-        self._usage: Dict[int, Counter] = defaultdict(Counter)
-        self._via_usage: Dict[int, Counter] = defaultdict(Counter)
+        # Per-net reference counts, ``{node: count}`` and ``{cell: count}``.
+        # Plain dicts: ``Counter``'s Python-level ``__missing__`` showed up
+        # in the claim loops' profile.  Key order is insertion order, and
+        # the connectivity index lists components in that order.
+        self._usage: Dict[int, Dict[GridNode, int]] = defaultdict(dict)
+        self._via_usage: Dict[int, Dict[Point, int]] = defaultdict(dict)
         self._journal: Optional[list] = None
         self._journal_peak = 0
         if region is not None:
@@ -197,11 +215,11 @@ class RoutingGrid:
 
     def net_nodes(self, net_id: int) -> List[GridNode]:
         """All nodes currently owned by ``net_id`` (pins included)."""
-        return sorted(self._usage.get(net_id, Counter()))
+        return sorted(self._usage.get(net_id, ()))
 
     def net_vias(self, net_id: int) -> List[Point]:
         """All via cells currently owned by ``net_id``."""
-        return sorted(self._via_usage.get(net_id, Counter()))
+        return sorted(self._via_usage.get(net_id, ()))
 
     def net_ids(self) -> List[int]:
         """Ids of nets that currently own at least one node."""
@@ -357,37 +375,19 @@ class RoutingGrid:
         """Largest journal any transaction on this grid ever reached."""
         return self._journal_peak
 
+    def reset_journal_peak(self) -> None:
+        """Forget earlier transactions' peak (a grid changing hands)."""
+        self._journal_peak = 0
+
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
     def _flat_index(self, node: Tuple[int, int, int]) -> int:
         """Flat C-order id of ``(x, y, layer)``; the one place the
-        ``(layer * H + y) * W + x`` arithmetic lives."""
+        ``(layer * H + y) * W + x`` arithmetic lives outside the claim
+        loops."""
         x, y, layer = node
         return (layer * self.height + y) * self.width + x
-
-    def _path_indices(
-        self, net_id: int, path: GridPath
-    ) -> List[Tuple[int, GridNode]]:
-        """``(flat_index, node)`` pairs for every node of ``path``.
-
-        Computed once per commit/rip and shared by the occupancy, pin and
-        usage updates (and the connectivity hooks) instead of re-deriving
-        the index per table.  An off-grid node raises :class:`GridError`
-        here, before any write: its flat index would wrap onto a real
-        cell (or past the end of the plane).
-        """
-        height, width = self.height, self.width
-        indexed = []
-        for node in path:
-            x, y, layer = node
-            if not (0 <= x < width and 0 <= y < height):
-                raise GridError(
-                    f"net {net_id} path leaves the {width}x{height} grid "
-                    f"at {tuple(node)}"
-                )
-            indexed.append(((layer * height + y) * width + x, node))
-        return indexed
 
     def set_obstacle(
         self, x: int, y: int, layer: Optional[Layer] = None
@@ -421,20 +421,15 @@ class RoutingGrid:
             raise GridError(
                 f"pin of net {net_id} collides with {current} at {tuple(node)}"
             )
-        key = GridNode(x, y, Layer(layer))
-        index = self._flat_index((x, y, int(layer)))
-        usage = self._usage[net_id]
+        member = _LAYER_OF.get(layer)
+        if member is None:
+            member = Layer(layer)
+        index = (member * self.height + y) * self.width + x
         if self._journal is not None:
-            self._journal.append((_J_OCC, index, self._occ_flat[index]))
             self._journal.append((_J_PIN, index, self._pin_flat[index]))
-            self._journal.append((_J_USE, net_id, key, usage.get(key, 0)))
-        self._occ_view[index] = net_id
-        self._occ_flat[index] = net_id
         self._pin_view[index] = net_id
         self._pin_flat[index] = net_id
-        usage[key] += 1
-        if current == FREE:
-            self._connectivity.note_node_added(net_id, index, x, y, int(layer))
+        self._claim(net_id, (tuple.__new__(GridNode, (x, y, member)),))
 
     def commit_path(self, net_id: int, path: GridPath) -> None:
         """Claim every node and via of ``path`` for ``net_id``.
@@ -445,95 +440,172 @@ class RoutingGrid:
         grid untouched.
         """
         self._check_net_id(net_id)
-        occ_flat = self._occ_flat
-        width = self.width
-        indexed = self._path_indices(net_id, path)
-        for index, node in indexed:
-            current = occ_flat[index]
-            if current != FREE and current != net_id:
+        self._claim(net_id, path.nodes)
+
+    def _claim(self, net_id: int, nodes: Sequence[GridNode]) -> None:
+        """Claim one legal walk of ``nodes`` (and its layer changes).
+
+        One validation pass — bounds, collisions, vias, and the net's
+        existing copper the walk reaches — then one mutation loop, then
+        one connectivity call for the whole walk.  An off-grid node raises
+        :class:`GridError` in the validation pass: its flat index would
+        wrap onto a real cell (or past the end of the plane).
+        """
+        height, width = self.height, self.width
+        plane = height * width
+        occ = self._occ_flat
+        via_view = self._via_view
+        # A dirty net is re-flooded on its next query, so its contacts
+        # need not be collected.
+        scan = not self._connectivity.is_dirty(net_id)
+        indices: List[int] = []
+        touch: List[int] = []  # the net's earlier copper the walk reaches
+        via_cells: List[Tuple[int, int, int]] = []
+        prev_layer = None
+        for node in nodes:
+            x, y, layer = node
+            if not (0 <= x < width and 0 <= y < height):
+                raise GridError(
+                    f"net {net_id} path leaves the {width}x{height} grid "
+                    f"at {tuple(node)}"
+                )
+            cell = y * width + x
+            index = layer * plane + cell
+            current = occ[index]
+            if current == FREE:
+                # A free node has no via of its net above or below it (a
+                # via's cell is owned on both layers), so only its four
+                # wire neighbours can be earlier copper.
+                if scan:
+                    if x + 1 < width and occ[index + 1] == net_id:
+                        touch.append(index + 1)
+                    if x and occ[index - 1] == net_id:
+                        touch.append(index - 1)
+                    if y + 1 < height and occ[index + width] == net_id:
+                        touch.append(index + width)
+                    if y and occ[index - width] == net_id:
+                        touch.append(index - width)
+            elif current == net_id:
+                touch.append(index)
+            else:
                 raise GridError(
                     f"net {net_id} collides with {current} at {tuple(node)}"
                 )
-        via_cells = path.via_cells()
-        for cell in via_cells:
-            current = self.via_owner(cell.x, cell.y)
-            if current not in (FREE, net_id):
+            if prev_layer is not None and layer is not prev_layer:
+                via_cells.append((cell, x, y))
+            prev_layer = layer
+            indices.append(index)
+        for cell, x, y in via_cells:
+            current = int(via_view[cell])
+            if current != FREE and current != net_id:
                 raise GridError(
-                    f"via of net {net_id} collides with {current} at {tuple(cell)}"
+                    f"via of net {net_id} collides with {current} at {(x, y)}"
                 )
+
         journal = self._journal
         occ_view = self._occ_view
         usage = self._usage[net_id]
-        connectivity = self._connectivity
-        for index, node in indexed:
-            if journal is not None:
-                journal.append((_J_OCC, index, occ_flat[index]))
-                journal.append((_J_USE, net_id, node, usage.get(node, 0)))
-            was_free = occ_flat[index] == FREE
-            occ_view[index] = net_id
-            occ_flat[index] = net_id
-            usage[node] += 1
-            if was_free:
-                connectivity.note_node_added(
-                    net_id, index, node.x, node.y, int(node.layer)
-                )
-        via_view = self._via_view
-        via_usage = self._via_usage[net_id]
-        for cell in via_cells:
-            index = cell.y * width + cell.x
-            if journal is not None:
-                journal.append((_J_VIA, index, int(via_view[index])))
-                journal.append((_J_VUSE, net_id, cell, via_usage.get(cell, 0)))
-            was_free = int(via_view[index]) == FREE
-            via_view[index] = net_id
-            via_usage[cell] += 1
-            if was_free:
-                connectivity.note_via_added(net_id, cell.x, cell.y)
+        fresh: List[int] = []
+        if journal is None:
+            for index, node in zip(indices, nodes):
+                if occ[index] == FREE:
+                    occ[index] = net_id
+                    occ_view[index] = net_id
+                    fresh.append(index)
+                usage[node] = usage.get(node, 0) + 1
+        else:
+            for index, node in zip(indices, nodes):
+                if occ[index] == FREE:
+                    journal.append((_J_OCC, index, FREE))
+                    occ[index] = net_id
+                    occ_view[index] = net_id
+                    fresh.append(index)
+                count = usage.get(node, 0)
+                journal.append((_J_USE, net_id, node, count))
+                usage[node] = count + 1
+        new_via = False
+        if via_cells:
+            via_usage = self._via_usage[net_id]
+            for cell, x, y in via_cells:
+                key = tuple.__new__(Point, (x, y))
+                count = via_usage.get(key, 0)
+                if journal is not None:
+                    journal.append((_J_VUSE, net_id, key, count))
+                via_usage[key] = count + 1
+                if via_view[cell] == FREE:
+                    if journal is not None:
+                        journal.append((_J_VIA, cell, FREE))
+                    via_view[cell] = net_id
+                    new_via = True
+        if fresh or new_via:
+            self._connectivity.note_path_added(net_id, fresh, touch)
 
     def remove_path(self, net_id: int, path: GridPath) -> None:
         """Release ``path``'s claim; frees cells whose count drops to zero.
 
         Pin nodes keep their standing pin reference and therefore survive.
+        Like :meth:`commit_path`, the whole request is checked before any
+        write, so a refused rip leaves the grid untouched.
         """
-        indexed = self._path_indices(net_id, path)
+        height, width = self.height, self.width
         usage = self._usage[net_id]
-        for index, node in indexed:
-            if usage[node] <= 0:
+        via_usage = self._via_usage[net_id]
+        nodes = path.nodes
+        via_keys: List[Point] = []
+        prev_layer = None
+        for node in nodes:
+            x, y, layer = node
+            if not (0 <= x < width and 0 <= y < height):
+                raise GridError(
+                    f"net {net_id} path leaves the {width}x{height} grid "
+                    f"at {tuple(node)}"
+                )
+            if usage.get(node, 0) <= 0:
                 raise GridError(
                     f"net {net_id} does not own {tuple(node)}; cannot rip"
                 )
-        width = self.width
+            if prev_layer is not None and layer is not prev_layer:
+                key = tuple.__new__(Point, (x, y))
+                if via_usage.get(key, 0) <= 0:
+                    raise GridError(
+                        f"net {net_id} does not own via at {(x, y)}; "
+                        "cannot rip"
+                    )
+                via_keys.append(key)
+            prev_layer = layer
+
         journal = self._journal
-        occ_view, occ_flat = self._occ_view, self._occ_flat
+        occ, occ_view = self._occ_flat, self._occ_view
         freed = False
-        for index, node in indexed:
+        for node in nodes:
+            count = usage.get(node, 0)
             if journal is not None:
-                journal.append((_J_USE, net_id, node, usage[node]))
-            usage[node] -= 1
-            if usage[node] == 0:
-                del usage[node]
-                if journal is not None:
-                    journal.append((_J_OCC, index, occ_flat[index]))
-                occ_view[index] = FREE
-                occ_flat[index] = FREE
-                freed = True
-        via_usage = self._via_usage[net_id]
+                journal.append((_J_USE, net_id, node, count))
+            if count != 1:
+                usage[node] = count - 1
+                continue
+            del usage[node]
+            x, y, layer = node
+            index = (layer * height + y) * width + x
+            if journal is not None:
+                journal.append((_J_OCC, index, occ[index]))
+            occ[index] = FREE
+            occ_view[index] = FREE
+            freed = True
         via_view = self._via_view
-        for cell in path.via_cells():
-            if via_usage[cell] <= 0:
-                raise GridError(
-                    f"net {net_id} does not own via at {tuple(cell)}; cannot rip"
-                )
+        for key in via_keys:
+            count = via_usage.get(key, 0)
             if journal is not None:
-                journal.append((_J_VUSE, net_id, cell, via_usage[cell]))
-            via_usage[cell] -= 1
-            if via_usage[cell] == 0:
-                del via_usage[cell]
-                index = cell.y * width + cell.x
-                if journal is not None:
-                    journal.append((_J_VIA, index, int(via_view[index])))
-                via_view[index] = FREE
-                freed = True
+                journal.append((_J_VUSE, net_id, key, count))
+            if count != 1:
+                via_usage[key] = count - 1
+                continue
+            del via_usage[key]
+            index = key[1] * width + key[0]
+            if journal is not None:
+                journal.append((_J_VIA, index, int(via_view[index])))
+            via_view[index] = FREE
+            freed = True
         if freed:
             # A union-find cannot split: mark the net for a scoped
             # re-flood on its next connectivity query.

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.grid.layers import Layer
-from repro.grid.path import GridNode
+from repro.grid.path import _LAYER_OF, GridNode
 
 
 @dataclass(frozen=True, order=True)
@@ -24,7 +24,10 @@ class Pin:
     @property
     def node(self) -> GridNode:
         """The grid node this pin occupies."""
-        return GridNode(self.x, self.y, Layer(self.layer))
+        layer = _LAYER_OF.get(self.layer)
+        if layer is None:
+            layer = Layer(self.layer)
+        return tuple.__new__(GridNode, (self.x, self.y, layer))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EngineError, ReproError
+from repro.parallel import apply_faults, parse_faults
 
 #: Problems kept warm per worker (rebuilt RoutingProblem objects).
 WARM_PROBLEMS_PER_WORKER = 32
@@ -50,35 +51,6 @@ LIVENESS_POLL_S = 1.0
 #: garbage terms are ignored.  This is a chaos-test hook, never set in
 #: production.
 SERVICE_FAULT_ENV = "REPRO_SERVICE_FAULTS"
-
-
-def _parse_service_faults(spec: str) -> List[Tuple[str, int, float]]:
-    """``"die@2:9,hang@3:60"`` -> ``[("die", 2, 9.0), ("hang", 3, 60.0)]``."""
-    faults = []
-    for term in spec.split(","):
-        term = term.strip()
-        if not term or "@" not in term:
-            continue
-        kind, _, rest = term.partition("@")
-        at, _, arg = rest.partition(":")
-        try:
-            faults.append((kind, int(at), float(arg) if arg else 0.0))
-        except ValueError:
-            continue
-    return faults
-
-
-def _apply_service_faults(
-    faults: List[Tuple[str, int, float]], job_index: int
-) -> None:
-    """Deliver any fault scheduled for this worker's ``job_index``-th job."""
-    for kind, at, arg in faults:
-        if job_index != at:
-            continue
-        if kind == "die":
-            os._exit(int(arg) if arg else 9)
-        elif kind == "hang":
-            time.sleep(arg if arg else 3600.0)
 
 
 def _warm_key(problem_payload: object) -> str:
@@ -183,7 +155,7 @@ def _worker_main(shard: int, requests, responses) -> None:
     parent = multiprocessing.parent_process()
     parent_pid = os.getppid()
     warm: "OrderedDict[str, object]" = OrderedDict()
-    faults = _parse_service_faults(os.environ.get(SERVICE_FAULT_ENV, ""))
+    faults = parse_faults(os.environ.get(SERVICE_FAULT_ENV, ""))
     jobs_seen = 0
     while True:
         try:
@@ -199,7 +171,7 @@ def _worker_main(shard: int, requests, responses) -> None:
             break
         jobs_seen += 1
         if faults:
-            _apply_service_faults(faults, jobs_seen)
+            apply_faults(faults, jobs_seen)
         reply = _execute_job(job, warm)
         reply["job_id"] = job.get("job_id")
         reply["shard"] = shard

@@ -21,7 +21,6 @@ point where a sequential sweep would have stopped is discarded, so
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -34,6 +33,7 @@ from repro.core.result import RouteResult
 from repro.core.router import route_problem
 from repro.maze.arena import SearchArena
 from repro.netlist.switchbox import SwitchboxSpec
+from repro.parallel import ProcessExecutor
 
 
 @dataclass
@@ -126,7 +126,9 @@ def minimum_routable_width(
     ``deadline`` the budget is re-measured when each wave is submitted
     (every attempt in the wave gets the remaining budget), so a parallel
     sweep honours the same overall budget but may finish attempts a
-    sequential sweep would not have started.
+    sequential sweep would not have started.  A pool worker that dies
+    raises :class:`~repro.errors.EngineError`; one still busy past the
+    deadline is killed and :class:`~repro.errors.RouteTimeout` raised.
     """
     config = config or MightyConfig()
     if workers < 1:
@@ -168,28 +170,21 @@ def _parallel_sweep(
     workers: int,
 ) -> WidthSweepOutcome:
     """Speculative wave execution with deterministic truncation."""
-    from repro.maze.kernels import resolve_kernel
-
-    # Resolve the kernel backend here, in the parent: pool workers get a
-    # concrete name instead of "auto"/an environment lookup, so every
-    # attempt runs the backend the sequential sweep would have used.
-    config = config.with_updates(
-        kernel_backend=resolve_kernel(config.kernel_backend).name
-    )
     consecutive_failures = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessExecutor() as pool:
         for start in range(0, len(sequence), workers):
             if deadline is not None and deadline.expired():
                 break
             wave = sequence[start:start + workers]
             budget = deadline.remaining() if deadline is not None else None
-            futures = [
-                pool.submit(_attempt_width, shrunk, config, budget)
-                for shrunk in wave
-            ]
+            outputs = pool.map(
+                _attempt_width,
+                [(shrunk, config, budget) for shrunk in wave],
+                workers,
+                deadline,
+            )
             stopped = False
-            for shrunk, future in zip(wave, futures):
-                result, done = future.result()
+            for shrunk, (result, done) in zip(wave, outputs):
                 if stopped:
                     continue  # discard speculation past the stop point
                 outcome.results.append(result)

@@ -28,6 +28,12 @@ of deterministic faults:
   one byte the way a decaying disk does, exercising the store's
   corruption-tolerant replay.
 
+The **process pool** shared by shard routing, width sweeps and the bench
+(:class:`repro.parallel.ProcessExecutor`) is broken the same way:
+:class:`PoolFaultPlan` / :func:`pool_faults` schedule a pool worker to
+die or wedge on exactly its Nth task, exercising the structured
+dead-worker error and the deadline-bounded wait.
+
 Everything is counter-driven (no randomness, no real clocks needed — see
 :class:`StepClock`), so a chaos test that fails once fails every time.
 
@@ -291,6 +297,66 @@ def service_faults(plan: ServiceFaultPlan) -> Iterator[ServiceFaultPlan]:
             os.environ.pop(SERVICE_FAULT_ENV, None)
         else:
             os.environ[SERVICE_FAULT_ENV] = previous
+
+
+@dataclass(frozen=True)
+class PoolFaultPlan:
+    """Deterministic faults for :class:`repro.parallel.ProcessExecutor`
+    workers, in the :class:`ServiceFaultPlan` vocabulary.
+
+    Armed by :func:`pool_faults`, the schedule travels with every task the
+    executor dispatches inside the block (under any start method); each
+    worker counts its own tasks from its start, so a fresh pool starts a
+    fresh count.
+
+    Attributes
+    ----------
+    die_on_task:
+        The worker calls ``os._exit(die_exit_code)`` when it picks up its
+        Nth task (1-based) — the SIGKILL-mid-task flavour.
+    die_exit_code:
+        Exit code of the scheduled death (default 9, mirroring SIGKILL).
+    hang_on_task:
+        The worker sleeps ``hang_s`` before running its Nth task.
+    hang_s:
+        Length of the wedge; far longer than any test deadline, and cut
+        short when the executor kills the worker.
+    """
+
+    die_on_task: Optional[int] = None
+    die_exit_code: int = 9
+    hang_on_task: Optional[int] = None
+    hang_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        for attr in ("die_on_task", "hang_on_task"):
+            value = getattr(self, attr)
+            if value is not None and value < 1:
+                raise ValueError(f"{attr} must be >= 1, got {value}")
+        if self.hang_s <= 0:
+            raise ValueError("hang_s must be positive")
+
+    def encode(self) -> str:
+        """The ``kind@task:arg`` form the pool workers parse."""
+        return ServiceFaultPlan(
+            die_on_job=self.die_on_task,
+            die_exit_code=self.die_exit_code,
+            hang_on_job=self.hang_on_task,
+            hang_s=self.hang_s,
+        ).encode()
+
+
+@contextlib.contextmanager
+def pool_faults(plan: PoolFaultPlan) -> Iterator[PoolFaultPlan]:
+    """Arm ``plan`` for every executor task dispatched inside the block."""
+    from repro import parallel
+
+    previous = parallel._task_faults
+    parallel._task_faults = plan.encode()
+    try:
+        yield plan
+    finally:
+        parallel._task_faults = previous
 
 
 def truncate_file(path: str, drop_bytes: int) -> int:

@@ -179,3 +179,80 @@ class TestPartialVerification:
         assert set(report.waived_open) == {
             c.net_name for c in result.failed
         }
+
+
+class TestPlanesFromTheProblem:
+    """The verifier reads the unrouted fabric's obstacle and pin planes off
+    the problem (region mask, obstacles, pins) instead of building a whole
+    reference grid.  Every check keeps its exact message."""
+
+    @staticmethod
+    def _region_problem():
+        from repro.netlist.instances import obstacle_region_problem
+
+        problem = obstacle_region_problem()
+        result = route_problem(problem)
+        assert result.success and verify_routing(problem, result.grid).ok
+        return problem, result.grid
+
+    def test_planes_match_a_built_grid(self):
+        from repro.analysis.verify import _fresh_planes
+        from repro.geometry import Rect
+        from repro.grid.layers import Layer
+        from repro.grid.routing_grid import OBSTACLE
+        from repro.netlist.generators import woven_region_problem
+        from repro.netlist.instances import obstacle_region_problem
+        from repro.netlist.problem import Obstacle
+
+        layered = RoutingProblem(
+            7,
+            5,
+            nets=[Net("a", (Pin(0, 0), Pin(6, 4, Layer.HORIZONTAL)))],
+            obstacles=[
+                Obstacle(Rect(2, 1, 4, 3), Layer.HORIZONTAL),
+                Obstacle(Rect(3, 2, 5, 4)),
+            ],
+        )
+        problems = [
+            layered,
+            obstacle_region_problem(),
+            small_switchbox().to_problem(),
+        ] + [woven_region_problem(seed=s, tangle=0.6) for s in range(4)]
+        for problem in problems:
+            grid = problem.build_grid()
+            blocked, pins = _fresh_planes(problem)
+            assert (blocked == (grid.occupancy() == OBSTACLE)).all()
+            assert (pins == grid.pin_map()).all()
+
+    def test_stolen_pin_message(self):
+        problem, grid = self._region_problem()
+        pin = problem.nets[1].pins[1]
+        grid._occ[int(pin.layer), pin.y, pin.x] = 1
+        report = verify_routing(problem, grid)
+        assert (
+            f"pin cell stolen at ({pin.x},{pin.y}) layer {int(pin.layer)} "
+            "(+0 more)"
+        ) in report.errors
+        assert not report.ok
+
+    def test_overwritten_obstacle_message(self):
+        problem, grid = self._region_problem()
+        obstacle = problem.obstacles[0]
+        x, y = obstacle.rect.x0, obstacle.rect.y0
+        layer = 0 if obstacle.layer is None else int(obstacle.layer)
+        grid._occ[layer, y, x] = 1
+        report = verify_routing(problem, grid)
+        assert report.errors == [
+            f"blocked cell overwritten at ({x},{y}) layer {layer} (+0 more)"
+        ]
+
+    def test_region_violation_message(self):
+        problem, grid = self._region_problem()
+        # (1, 6) lies in the region's notch; claim both of its layers.
+        assert not problem.region.contains((1, 6))
+        grid._occ[0, 6, 1] = 2
+        grid._occ[1, 6, 1] = 2
+        report = verify_routing(problem, grid)
+        assert report.errors == [
+            "blocked cell overwritten at (1,6) layer 0 (+1 more)"
+        ]
