@@ -27,13 +27,13 @@ carrying the machine-readable outcome.
 Sharded calls with ``shard_workers > 1`` run their shards on one warm
 :class:`~repro.parallel.ProcessExecutor` per engine, started at the first
 such call and reused by later ones; :meth:`RoutingEngine.close` (or
-leaving a ``with`` block, or the engine being collected) stops it.
+leaving a ``with`` block) stops it, and the executor's own finalizer stops
+it when the engine is dropped or the interpreter exits.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -130,16 +130,15 @@ class RoutingEngine:
         # wants processes (never here: an engine that never shards across
         # processes never starts one).
         self._shard_executor = None
-        self._reap_executor = None
 
     def close(self) -> None:
         """Stop the warm shard workers, if any were started.
 
         The engine stays usable: a later sharded call starts a new pool.
         """
-        if self._reap_executor is not None:
-            self._reap_executor()
-        self._shard_executor = self._reap_executor = None
+        executor, self._shard_executor = self._shard_executor, None
+        if executor is not None:
+            executor.close()
 
     def __enter__(self) -> "RoutingEngine":
         return self
@@ -154,11 +153,7 @@ class RoutingEngine:
         if self._shard_executor is None:
             from repro.parallel import ProcessExecutor
 
-            executor = ProcessExecutor()
-            self._shard_executor = executor
-            # Reaps the workers when the engine is collected or at exit;
-            # holds the executor, never the engine.
-            self._reap_executor = weakref.finalize(self, executor.close)
+            self._shard_executor = ProcessExecutor()
         return self._shard_executor
 
     # ------------------------------------------------------------------

@@ -169,15 +169,11 @@ class ConnectivityIndex:
             if journal is not None:
                 journal.append((_J_UF, root, root, 0))
             rank[root] = 1
-        if journal is None:
-            for idx in fresh:
-                parent[idx] = root
-                rank[idx] = 0
-        else:
-            for idx in fresh:
+        for idx in fresh:
+            if journal is not None:
                 journal.append((_J_UF, idx, parent[idx], rank[idx]))
-                parent[idx] = root
-                rank[idx] = 0
+            parent[idx] = root
+            rank[idx] = 0
 
     def note_removed(self, net_id: int) -> None:
         """A node or via of ``net_id`` was freed: the component may split."""

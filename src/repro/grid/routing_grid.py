@@ -383,9 +383,12 @@ class RoutingGrid:
     # Mutations
     # ------------------------------------------------------------------
     def _flat_index(self, node: Tuple[int, int, int]) -> int:
-        """Flat C-order id of ``(x, y, layer)``; the one place the
-        ``(layer * H + y) * W + x`` arithmetic lives outside the claim
-        loops."""
+        """Flat C-order id of ``(x, y, layer)``.
+
+        The per-node loops of :meth:`_claim` and :meth:`remove_path`
+        compute the same id inline: a method call per node made
+        commit + rip + rollback about 9% slower (docs/PERFORMANCE.md §7).
+        """
         x, y, layer = node
         return (layer * self.height + y) * self.width + x
 
@@ -424,7 +427,7 @@ class RoutingGrid:
         member = _LAYER_OF.get(layer)
         if member is None:
             member = Layer(layer)
-        index = (member * self.height + y) * self.width + x
+        index = self._flat_index(node)
         if self._journal is not None:
             self._journal.append((_J_PIN, index, self._pin_flat[index]))
         self._pin_view[index] = net_id
@@ -506,23 +509,17 @@ class RoutingGrid:
         occ_view = self._occ_view
         usage = self._usage[net_id]
         fresh: List[int] = []
-        if journal is None:
-            for index, node in zip(indices, nodes):
-                if occ[index] == FREE:
-                    occ[index] = net_id
-                    occ_view[index] = net_id
-                    fresh.append(index)
-                usage[node] = usage.get(node, 0) + 1
-        else:
-            for index, node in zip(indices, nodes):
-                if occ[index] == FREE:
+        for index, node in zip(indices, nodes):
+            if occ[index] == FREE:
+                if journal is not None:
                     journal.append((_J_OCC, index, FREE))
-                    occ[index] = net_id
-                    occ_view[index] = net_id
-                    fresh.append(index)
-                count = usage.get(node, 0)
+                occ[index] = net_id
+                occ_view[index] = net_id
+                fresh.append(index)
+            count = usage.get(node, 0)
+            if journal is not None:
                 journal.append((_J_USE, net_id, node, count))
-                usage[node] = count + 1
+            usage[node] = count + 1
         new_via = False
         if via_cells:
             via_usage = self._via_usage[net_id]

@@ -19,16 +19,20 @@ routing (:mod:`repro.core.shard`), speculative width sweeps
   :class:`~repro.errors.EngineError`, again dropping the pool.
 
 An instance starts no process before its first :meth:`ProcessExecutor.map`
-and keeps its workers warm between calls; a call that asks for another
-worker count rebuilds the pool.  :class:`~repro.engine.RoutingEngine` owns
-one for its shard attempts, so a stream of sharded regions pays the
-process start once; the sweep and the bench use a scoped instance
-(``with ProcessExecutor() as pool``), which is closed when the block ends.
+and keeps its workers warm between calls.  The pool only grows: a call
+that asks for more workers than it holds starts the missing ones, and a
+call that asks for fewer runs on the first ``workers`` of them, so callers
+whose worker count follows their work (one per busy shard) do not restart
+it.  :class:`~repro.engine.RoutingEngine` owns one for its shard attempts,
+so a stream of sharded regions pays the process start once; the sweep and
+the bench use a scoped instance (``with ProcessExecutor() as pool``), which
+is closed when the block ends.
 
 Workers are ordinary (non-daemonic) processes that poll their task pipe
-and exit once their parent is gone, so a SIGKILLed parent leaks none, and
-every executor still open at interpreter exit is closed before
-:mod:`multiprocessing` joins its children.
+and exit once their parent is gone, so a SIGKILLed parent leaks none.  One
+finalizer per executor stops its workers when the executor is collected
+or, if it is still open, at interpreter exit, before :mod:`multiprocessing`
+joins its children.
 
 Chaos tests arm a deterministic fault schedule with
 :func:`repro.testing.pool_faults`; it travels with every task dispatched
@@ -38,13 +42,11 @@ workers (:func:`parse_faults`).
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import multiprocessing.connection
-import multiprocessing.util  # noqa: F401 - its exit hook must run after ours
+import multiprocessing.util
 import os
 import time
-import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -71,9 +73,6 @@ GRACE_S = 0.5
 #: Fault schedule (``kind@task:arg`` terms) shipped with every task; set
 #: only by :func:`repro.testing.pool_faults`.
 _task_faults = ""
-
-#: Executors with live workers, closed at interpreter exit.
-_open: "weakref.WeakSet[ProcessExecutor]" = weakref.WeakSet()
 
 
 def parse_faults(spec: str) -> List[Tuple[str, int, float]]:
@@ -109,16 +108,20 @@ def apply_faults(faults: List[Tuple[str, int, float]], job_index: int) -> None:
             time.sleep(arg if arg else 3600.0)
 
 
-def _worker_main(conn, parent_pid: int) -> None:
+def _worker_main(conn) -> None:
     """Worker loop: run tasks until the ``None`` sentinel or parent death.
 
     A parent that dies without sending the sentinel (SIGKILL) is noticed
     within one :data:`LIVENESS_POLL_S`, through its sentinel pipe or a
-    changed parent pid (see :mod:`repro.service.workers` for why both).
+    change of the parent pid seen at start (see
+    :mod:`repro.service.workers` for why both).  The pid is read here, not
+    passed in: under forkserver this process's parent is the fork server,
+    not the executor's process.
     """
     from repro.maze import kernels
 
     parent = multiprocessing.parent_process()
+    parent_pid = os.getppid()
     done = 0
     while True:
         if not conn.poll(LIVENESS_POLL_S):
@@ -156,11 +159,29 @@ class _Worker:
     def __init__(self, context) -> None:
         parent_end, child_end = multiprocessing.Pipe()
         self.process = context.Process(
-            target=_worker_main, args=(child_end, os.getpid())
+            target=_worker_main, args=(child_end,)
         )
         self.process.start()
         child_end.close()
         self.conn = parent_end
+
+
+def _stop_workers(workers: List[_Worker], timeout_s: float = 5.0) -> None:
+    """Stop ``workers`` (sentinel, join, kill stragglers) and empty the list."""
+    stopping = workers[:]
+    del workers[:]
+    for worker in stopping:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass
+    give_up = time.monotonic() + timeout_s
+    for worker in stopping:
+        worker.process.join(max(0.0, give_up - time.monotonic()))
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
 
 
 class ProcessExecutor:
@@ -171,7 +192,15 @@ class ProcessExecutor:
     """
 
     def __init__(self) -> None:
+        # Mutated in place only: the finalizer holds this list, never the
+        # executor.  It is multiprocessing's own finalizer because one with
+        # an exit priority runs before multiprocessing joins its children
+        # at interpreter exit; an atexit hook of weakref.finalize may be
+        # registered earlier and so run later.
         self._workers: List[_Worker] = []
+        multiprocessing.util.Finalize(
+            self, _stop_workers, args=(self._workers,), exitpriority=10
+        )
 
     @property
     def pids(self) -> List[int]:
@@ -200,16 +229,17 @@ class ProcessExecutor:
         from repro.maze.kernels import resolve_kernel
 
         kernel = resolve_kernel(None).name
-        if len(self._workers) != workers:
-            self.close()
+        if len(self._workers) < workers:
             context = multiprocessing.get_context()
-            self._workers = [_Worker(context) for _ in range(workers)]
-            _open.add(self)
+            self._workers.extend(
+                _Worker(context)
+                for _ in range(workers - len(self._workers))
+            )
         results: List[Any] = [None] * len(tasks)
         busy = {}  # worker -> index of the task it runs
         queued = iter(range(len(tasks)))
         try:
-            for worker, index in zip(self._workers, queued):
+            for worker, index in zip(self._workers[:workers], queued):
                 self._send(worker, (fn, tasks[index], kernel, _task_faults))
                 busy[worker] = index
             while busy:
@@ -285,44 +315,22 @@ class ProcessExecutor:
 
     def _drop(self) -> None:
         """Kill every worker at once (after a death, a hang or an error)."""
-        workers, self._workers = self._workers, []
+        workers = self._workers[:]
+        del self._workers[:]
         for worker in workers:
             if worker.process.is_alive():
                 worker.process.kill()
         for worker in workers:
             worker.process.join()
             worker.conn.close()
-        _open.discard(self)
 
-    def close(self, timeout_s: float = 5.0) -> None:
-        """Stop the workers: sentinel, join, kill stragglers.  Idempotent."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except OSError:
-                pass
-        give_up = time.monotonic() + timeout_s
-        for worker in workers:
-            worker.process.join(max(0.0, give_up - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            worker.conn.close()
-        _open.discard(self)
+    def close(self) -> None:
+        """Stop the workers: sentinel, join, kill stragglers.  Idempotent;
+        a later :meth:`map` starts fresh workers."""
+        _stop_workers(self._workers)
 
     def __enter__(self) -> "ProcessExecutor":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def _close_open_executors() -> None:
-    for executor in list(_open):
-        executor.close()
-
-
-# Registered after multiprocessing.util's exit hook, so it runs first:
-# the workers are gone before multiprocessing joins its children.
-atexit.register(_close_open_executors)

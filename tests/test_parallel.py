@@ -7,16 +7,19 @@ parent's kernel shipped to every worker, structured errors for dead and
 hung workers, no worker outliving ``close()`` or a SIGKILLed parent —
 and the :class:`~repro.engine.RoutingEngine` lifecycle around it: the
 pool starts at the first sharded call that wants processes, is reused,
-is rebuilt for another worker count or after a fault, and a faulted call
-still returns a verified whole-region result.  Faults come from
+only grows when a call wants more workers, is rebuilt after a fault, and
+a faulted call still returns a verified whole-region result.  Idle
+workers outlive several liveness polls under every start method.  Faults come from
 :class:`repro.testing.PoolFaultPlan`, so every schedule is exact.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -105,14 +108,21 @@ class TestExecutor:
         assert pool.map(_square, [], 2) == []
         assert pool.pids == []
 
-    def test_workers_stay_warm_and_resize_on_request(self):
+    def test_workers_stay_warm_and_only_grow(self):
         with ProcessExecutor() as pool:
             pool.map(_square, [(1,), (2,)], 2)
             first = pool.pids
             pool.map(_square, [(3,), (4,)], 2)
             assert pool.pids == first
-            pool.map(_square, [(5,)], 1)
-            assert len(pool.pids) == 1 and pool.pids[0] not in first
+            # Fewer workers: the pool is kept and only its first is used.
+            replies = pool.map(_kernel_and_pid, [(n,) for n in range(3)], 1)
+            assert pool.pids == first
+            assert {pid for _, pid in replies} == {first[0]}
+            # More workers: the missing ones join the ones already up.
+            assert pool.map(_square, [(n,) for n in range(6)], 3) == [
+                n * n for n in range(6)
+            ]
+            assert len(pool.pids) == 3 and pool.pids[:2] == first
 
     def test_ships_the_parent_kernel(self):
         from repro.maze.kernels import resolve_kernel
@@ -200,14 +210,26 @@ class TestEngineShardPool:
                     plain.route(problem, shards=4, shard_workers=1)
                 )
 
-    def test_other_worker_count_rebuilds_the_pool(self):
+    def test_busy_shard_count_changes_keep_the_pool(self, monkeypatch):
+        # With shard_workers=None each call wants one worker per busy
+        # shard (capped at the CPU count, raised here so the cap does not
+        # hide the change); the pool must not restart between regions.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         problem = _region()
         with RoutingEngine() as engine:
-            engine.route(problem, shards=4, shard_workers=2)
-            two = engine._shard_executor.pids
-            engine.route(problem, shards=4, shard_workers=3)
-            three = engine._shard_executor.pids
-        assert len(three) == 3 and not set(two) & set(three)
+            two = engine.route(problem, shards=2)
+            assert two.stats.shards == 2
+            first = engine._shard_executor.pids
+            assert len(first) == 2
+            four = engine.route(problem, shards=4)
+            assert four.stats.shards == 4
+            grown = engine._shard_executor.pids
+            assert len(grown) == 4 and grown[:2] == first
+            for shards in (3, 2):
+                result = engine.route(problem, shards=shards)
+                assert result.stats.shards == shards
+                assert result.stats.attempt_log[0]["error"] == ""
+                assert engine._shard_executor.pids == grown
 
     def test_dead_shard_worker_falls_back_then_recovers(self):
         problem = _region()
@@ -278,6 +300,60 @@ def test_sigkilled_parent_leaves_no_shard_worker_behind():
     for pid in leaked:  # leave the machine clean even on failure
         os.kill(pid, signal.SIGKILL)
     assert not leaked, f"shard workers outlived their parent: {leaked}"
+
+
+# Run in a fresh interpreter so the start method can be chosen per test:
+# map on two workers, report their pids, idle for more than two liveness
+# polls, map again and report the pids and what the workers answered,
+# then idle until killed.
+_IDLE_EXECUTOR_SCRIPT = """
+import json, multiprocessing, os, sys, time
+multiprocessing.set_start_method(sys.argv[1])
+from repro.parallel import LIVENESS_POLL_S, ProcessExecutor
+pool = ProcessExecutor()
+pool.map(os.getpid, [(), ()], 2)
+print(json.dumps(pool.pids), flush=True)
+time.sleep(2.5 * LIVENESS_POLL_S)
+answers = pool.map(os.getpid, [(), ()], 2)
+print(json.dumps([pool.pids, answers]), flush=True)
+time.sleep(3600)
+"""
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "start_method", multiprocessing.get_all_start_methods()
+)
+def test_idle_workers_live_with_their_parent_and_die_without_it(
+    start_method,
+):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _IDLE_EXECUTOR_SCRIPT, start_method],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    watchdog = threading.Timer(60.0, parent.kill)
+    watchdog.start()
+    workers = []
+    try:
+        workers = json.loads(parent.stdout.readline() or "[]")
+        assert len(workers) == 2, workers
+        # Idle past two polls, the same workers still serve a map.
+        pids, answers = json.loads(parent.stdout.readline() or "[[], []]")
+        assert pids == workers
+        assert answers == workers
+        assert all(map(_running, workers))
+    finally:
+        watchdog.cancel()
+        parent.kill()  # SIGKILL: no close(), no finalizer, no sentinel
+        parent.wait(10)
+        parent.stdout.close()
+    leaked = _wait_gone(workers, 5 * LIVENESS_POLL_S)
+    for pid in leaked:  # leave the machine clean even on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not leaked, f"workers outlived their parent: {leaked}"
 
 
 class TestSweepPoolFaults:
